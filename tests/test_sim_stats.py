@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.sim import (
     BatchMeans,
@@ -14,6 +15,11 @@ from repro.sim import (
     ReplicationSummary,
     RunningStat,
     TimeWeightedStat,
+)
+from repro.sim.stats import (
+    control_variate_interval,
+    paired_difference,
+    t_quantile,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
@@ -316,6 +322,83 @@ def test_replication_interval_memoised_per_confidence():
     refreshed = rep.interval(0.95)
     assert refreshed is not first
     assert refreshed.n == 4
+
+
+# ---------------------------------------------------------------------------
+# Student-t quantile
+# ---------------------------------------------------------------------------
+
+PARITY_CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999)
+
+
+def reference_quantile(confidence, df):
+    return float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+
+
+def test_t_quantile_matches_reference_up_to_1000_df():
+    for df in range(1, 1001):
+        for confidence in PARITY_CONFIDENCES:
+            expected = reference_quantile(confidence, df)
+            assert t_quantile(confidence, df) == pytest.approx(
+                expected, rel=1e-11), (confidence, df)
+
+
+@pytest.mark.parametrize("df", [5000, 1e5, 1e6])
+def test_t_quantile_matches_reference_at_large_df(df):
+    for confidence in PARITY_CONFIDENCES:
+        assert t_quantile(confidence, df) == pytest.approx(
+            reference_quantile(confidence, df), rel=1e-9), confidence
+
+
+@pytest.mark.parametrize("confidence", PARITY_CONFIDENCES)
+def test_t_quantile_closed_forms(confidence):
+    assert t_quantile(confidence, 1) == math.tan(math.pi * confidence / 2.0)
+    assert t_quantile(confidence, 2) == confidence * math.sqrt(
+        2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+
+
+def test_t_quantile_accepts_fractional_df():
+    for df in (1.5, 2.5, 7.25):
+        assert t_quantile(0.95, df) == pytest.approx(
+            reference_quantile(0.95, df), rel=1e-11)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, math.nan])
+def test_t_quantile_rejects_bad_confidence(confidence):
+    with pytest.raises(ValueError, match="confidence"):
+        t_quantile(confidence, 5)
+
+
+@pytest.mark.parametrize("df", [0, 0.5, -3, math.nan, math.inf])
+def test_t_quantile_rejects_bad_df(df):
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        t_quantile(0.95, df)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.2, 1.5, -0.5])
+def test_interval_entry_points_reject_bad_confidence(confidence):
+    """A bad confidence raises instead of giving a NaN or zero-width CI."""
+    values = [1.0, 2.0, 4.0, 3.0]
+    stat = RunningStat()
+    stat.extend(values)
+    batches = BatchMeans(n_batches=2)
+    batches.extend(values)
+    summary = ReplicationSummary()
+    for value in values:
+        summary.add_replication(value, {"cv": (value, 2.5)})
+    calls = [
+        lambda: stat.interval(confidence),
+        lambda: RunningStat().interval(confidence),
+        lambda: batches.interval(confidence),
+        lambda: summary.interval(confidence),
+        lambda: summary.adjusted_interval(confidence),
+        lambda: paired_difference(values, values[::-1], confidence),
+        lambda: control_variate_interval(
+            values, [{"cv": (v, 2.5)} for v in values], confidence),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,22 @@
 
 Hypothesis drives :mod:`repro.sim.stats` and :mod:`repro.sim.quantiles`
 through adversarial observation streams: empty and singleton streams,
-merge commutativity/equivalence of :class:`RunningStat`, and the
-bounding/ordering invariants of the P^2 quantile estimators.
+merge commutativity/equivalence of :class:`RunningStat`, the
+bounding/ordering invariants of the P^2 quantile estimators, and the
+Student-t quantile against the reference implementation, its ordering
+in confidence and df, and its normal limit.
 """
 
 import math
+from statistics import NormalDist
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from repro.sim.quantiles import P2Quantile, QuantileSet
-from repro.sim.stats import RunningStat, TimeWeightedStat
+from repro.sim.stats import RunningStat, TimeWeightedStat, t_quantile
 
 finite = st.floats(min_value=-1e9, max_value=1e9,
                    allow_nan=False, allow_infinity=False, width=64)
@@ -176,3 +180,36 @@ def test_p2_median_converges_on_uniform_grid():
     for i in range(1, 1002):
         estimator.add(i % 1001)
     assert estimator.value == pytest.approx(500, abs=25)
+
+
+# -- Student-t quantile --------------------------------------------------------
+
+confidences = st.floats(min_value=1e-3, max_value=0.9999)
+dfs = st.integers(min_value=1, max_value=10**6)
+
+
+@given(confidences, st.floats(min_value=1.0, max_value=1e6))
+@settings(max_examples=300)
+def test_t_quantile_matches_reference(confidence, df):
+    expected = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
+    assert t_quantile(confidence, df) == pytest.approx(expected, rel=1e-9)
+
+
+@given(confidences, st.floats(min_value=1e-6, max_value=0.5), dfs)
+def test_t_quantile_increases_with_confidence(confidence, gap, df):
+    higher = confidence + gap
+    assume(higher < 0.9999)
+    assert t_quantile(confidence, df) < t_quantile(higher, df)
+
+
+@given(confidences, dfs, st.integers(min_value=1, max_value=10**5))
+def test_t_quantile_decreases_with_df(confidence, df, gap):
+    assert t_quantile(confidence, df) > t_quantile(confidence, df + gap)
+
+
+@given(confidences, st.integers(min_value=100, max_value=10**7))
+def test_t_quantile_approaches_normal(confidence, df):
+    # Heavier tails than the normal, by the leading Cornish-Fisher term.
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    excess = t_quantile(confidence, df) - z
+    assert 0.0 < excess <= 2.0 * z * (z * z + 1.0) / (4.0 * df)
