@@ -28,8 +28,10 @@ locks held are released").  The acquire event then fails with
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..sim.engine import Environment, Event
@@ -81,7 +83,7 @@ class DeadlockError(Exception):
         self.entity = entity
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class LockRequest:
     """A queued (not yet granted) request on one entity."""
 
@@ -91,18 +93,20 @@ class LockRequest:
     enqueued_at: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Lock:
     """State of one lockable entity.
 
     ``holders`` maps transaction id -> granted mode (insertion ordered so
     grant history is deterministic); ``waiters`` is the FIFO queue of
     blocked requests; ``coherence_count`` is the paper's coherence control
-    field.
+    field.  ``ticket`` numbers the record in creation order, which is
+    the order a transaction's locks are released in.
     """
 
     entity: int
-    holders: "OrderedDict[int, LockMode]" = field(default_factory=OrderedDict)
+    ticket: int = 0
+    holders: dict[int, LockMode] = field(default_factory=dict)
     waiters: deque[LockRequest] = field(default_factory=deque)
     coherence_count: int = 0
 
@@ -124,6 +128,10 @@ class Lock:
         return True
 
 
+#: Release order of a transaction's locks: lock-record creation order.
+_TICKET = attrgetter("ticket")
+
+
 class LockManager:
     """Per-site lock table implementing the dual-field protocol.
 
@@ -131,6 +139,11 @@ class LockManager:
     Locks are created lazily and discarded when fully free, so the 32K
     lock space of the paper's simulation costs memory only for active
     entities.
+
+    Beside the table, a per-transaction index records the locks each
+    transaction holds and those it has queued requests on, so commit,
+    abort and the ``n_lock`` statistic cost only what the transaction
+    touches, never a scan of the table.
     """
 
     def __init__(self, env: Environment, name: str = "locks",
@@ -138,6 +151,13 @@ class LockManager:
         self.env = env
         self.name = name
         self._locks: dict[int, Lock] = {}
+        self._tickets = itertools.count()
+        #: txn -> {entity: lock} for every lock the transaction holds.
+        self._held: dict[int, dict[int, Lock]] = {}
+        #: txn -> {entity: queued requests} for every lock it waits on.
+        self._queued: dict[int, dict[int, int]] = {}
+        #: Running number of (entity, holder) grants.
+        self._held_count = 0
         self._waits_for = WaitsForGraph()
         self._on_deadlock = on_deadlock
         # Counters surfaced to the dynamic routing strategies and metrics.
@@ -166,16 +186,30 @@ class LockManager:
 
     def total_locks_held(self) -> int:
         """Number of (entity, holder) grants -- the ``n_lock`` statistic."""
-        return sum(len(lock.holders) for lock in self._locks.values())
+        return self._held_count
 
     def waiting_requests(self) -> int:
         return sum(len(lock.waiters) for lock in self._locks.values())
 
     def entities_locked_by(self, txn_id: int) -> list[int]:
-        return [entity for entity, lock in self._locks.items()
-                if txn_id in lock.holders]
+        """Entities held by ``txn_id``, in lock-record creation order."""
+        held = self._held.get(txn_id)
+        if not held:
+            return []
+        return [lock.entity for lock in sorted(held.values(), key=_TICKET)]
+
+    def holders(self) -> list[int]:
+        """Ids of every transaction holding a lock here, ascending."""
+        return sorted(self._held)
 
     # -- concurrency control --------------------------------------------------
+
+    def _lock(self, entity: int) -> Lock:
+        """The record for ``entity``, created if the entity is free."""
+        lock = self._locks.get(entity)
+        if lock is None:
+            lock = self._locks[entity] = Lock(entity, next(self._tickets))
+        return lock
 
     def acquire(self, txn_id: int, entity: int, mode: LockMode) -> Event:
         """Request ``entity`` in ``mode`` for ``txn_id``.
@@ -187,7 +221,7 @@ class LockManager:
         if the requester is the sole holder and queues otherwise.
         """
         event = Event(self.env)
-        lock = self._locks.setdefault(entity, Lock(entity))
+        lock = self._lock(entity)
 
         held = lock.holders.get(txn_id)
         if held is not None:
@@ -203,7 +237,7 @@ class LockManager:
             return self._block(lock, txn_id, mode, event)
 
         if not lock.waiters and lock.grant_compatible(mode, txn_id=txn_id):
-            lock.holders[txn_id] = mode
+            self._grant(lock, txn_id, mode)
             self.locks_granted += 1
             event.succeed()
             return event
@@ -229,7 +263,43 @@ class LockManager:
         self.lock_waits += 1
         lock.waiters.append(LockRequest(txn_id, mode, event,
                                         enqueued_at=self.env.now))
+        queued = self._queued.get(txn_id)
+        if queued is None:
+            self._queued[txn_id] = {lock.entity: 1}
+        else:
+            queued[lock.entity] = queued.get(lock.entity, 0) + 1
         return event
+
+    def _grant(self, lock: Lock, txn_id: int, mode: LockMode) -> None:
+        """Record ``txn_id`` as a holder of ``lock`` in ``mode``."""
+        if txn_id not in lock.holders:
+            held = self._held.get(txn_id)
+            if held is None:
+                self._held[txn_id] = {lock.entity: lock}
+            else:
+                held[lock.entity] = lock
+            self._held_count += 1
+        lock.holders[txn_id] = mode
+
+    def _drop_holder(self, lock: Lock, txn_id: int) -> None:
+        """Remove ``txn_id`` from the holders of ``lock``."""
+        del lock.holders[txn_id]
+        held = self._held[txn_id]
+        del held[lock.entity]
+        if not held:
+            del self._held[txn_id]
+        self._held_count -= 1
+
+    def _unqueue(self, txn_id: int, entity: int, requests: int = 1) -> None:
+        """Forget ``requests`` queued requests of ``txn_id`` on ``entity``."""
+        queued = self._queued[txn_id]
+        left = queued[entity] - requests
+        if left:
+            queued[entity] = left
+        else:
+            del queued[entity]
+            if not queued:
+                del self._queued[txn_id]
 
     def release(self, txn_id: int, entity: int) -> None:
         """Release one lock held by ``txn_id`` and grant any waiters."""
@@ -237,18 +307,23 @@ class LockManager:
         if lock is None or txn_id not in lock.holders:
             raise LockError(
                 f"{self.name}: txn {txn_id} does not hold entity {entity}")
-        del lock.holders[txn_id]
+        self._drop_holder(lock, txn_id)
         self._grant_waiters(lock)
         self._collect(lock)
 
     def release_all(self, txn_id: int) -> list[int]:
-        """Release every lock held by ``txn_id``; returns released entities."""
+        """Release every lock held by ``txn_id``; returns released entities.
+
+        Locks are released in lock-record creation order, which decides
+        which waiters are granted first.
+        """
         released = []
-        for entity in list(self._locks):
-            lock = self._locks[entity]
-            if txn_id in lock.holders:
+        held = self._held.pop(txn_id, None)
+        if held:
+            self._held_count -= len(held)
+            for lock in sorted(held.values(), key=_TICKET):
                 del lock.holders[txn_id]
-                released.append(entity)
+                released.append(lock.entity)
                 self._grant_waiters(lock)
                 self._collect(lock)
         self.cancel_waits(txn_id)
@@ -261,13 +336,15 @@ class LockManager:
         events are abandoned, so they are removed from the queues and the
         waits-for graph.
         """
-        for entity in list(self._locks):
-            lock = self._locks[entity]
-            pending = [request for request in lock.waiters
-                       if request.txn_id == txn_id]
-            for request in pending:
-                lock.waiters.remove(request)
-            if pending:
+        queued = self._queued.pop(txn_id, None)
+        if queued:
+            locks = self._locks
+            for lock in sorted([locks[entity] for entity in queued],
+                               key=_TICKET):
+                pending = [request for request in lock.waiters
+                           if request.txn_id == txn_id]
+                for request in pending:
+                    lock.waiters.remove(request)
                 self._grant_waiters(lock)
                 self._collect(lock)
         self._waits_for.remove(txn_id)
@@ -280,7 +357,8 @@ class LockManager:
                                          txn_id=request.txn_id):
                 break
             lock.waiters.popleft()
-            lock.holders[request.txn_id] = request.mode
+            self._unqueue(request.txn_id, lock.entity)
+            self._grant(lock, request.txn_id, request.mode)
             self.locks_granted += 1
             # Granted: it waits for nobody now, but waiters queued
             # behind it still wait for it -- keep their incoming edges.
@@ -296,8 +374,7 @@ class LockManager:
 
     def increment_coherence(self, entity: int) -> None:
         """A committed local update to ``entity`` is now in flight."""
-        lock = self._locks.setdefault(entity, Lock(entity))
-        lock.coherence_count += 1
+        self._lock(entity).coherence_count += 1
 
     def decrement_coherence(self, entity: int) -> None:
         """The central site acknowledged one in-flight update."""
@@ -329,7 +406,7 @@ class LockManager:
         conflicting local transactions are released").  Compatible holders
         keep their locks and share with the grantee.
         """
-        lock = self._locks.setdefault(entity, Lock(entity))
+        lock = self._lock(entity)
         # If the grantee itself has a queued request on this entity it is
         # superseded by the grant.
         own_requests = [request for request in lock.waiters
@@ -337,15 +414,17 @@ class LockManager:
         for request in own_requests:
             lock.waiters.remove(request)
         if own_requests:
+            self._unqueue(txn_id, entity, len(own_requests))
             self._waits_for.clear_waits(txn_id)
         evicted = [holder for holder, held in lock.holders.items()
                    if holder != txn_id and not mode.compatible_with(held)]
         for holder in evicted:
-            del lock.holders[holder]
+            self._drop_holder(lock, holder)
         held = lock.holders.get(txn_id)
         if held is None or (held is LockMode.SHARE and
                             mode is LockMode.EXCLUSIVE):
-            lock.holders[txn_id] = mode  # grant, or upgrade -- never downgrade
+            # Grant, or upgrade -- never downgrade.
+            self._grant(lock, txn_id, mode)
         self.forced_grants += 1
         # Evictions (or a share-mode grant) may unblock compatible FIFO
         # waiters; incompatible ones stay queued behind the grantee until

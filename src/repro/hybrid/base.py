@@ -63,13 +63,16 @@ class SiteBase:
         if instructions <= 0:
             return
         spans = None if txn is None else txn.spans
-        with self.cpu.request() as grant:
+        grant = self.cpu.request()
+        try:
             if spans is not None:
                 spans.enter(PHASE_CPU_WAIT, self.env.now)
             yield grant
             if spans is not None:
                 spans.enter(PHASE_CPU_SERVICE, self.env.now)
             yield self.env.timeout(self.service_time(instructions))
+        finally:
+            grant.cancel()
         if spans is not None:
             spans.exit(self.env.now)
 

@@ -7,6 +7,9 @@ intercepts key transitions to verify ordering properties:
 
 * **lock compatibility** -- no entity is ever held in incompatible modes
   at one site;
+* **lock index** -- each lock manager's per-transaction index of held
+  and queued locks, and its running grant count, match a recount of
+  the lock table;
 * **coherence sanity** -- coherence counts are non-negative and, summed
   per site, equal the number of unacknowledged update batches in flight
   times their batch contents;
@@ -168,9 +171,34 @@ class InvariantChecker:
                     f"{name}: negative coherence count on {entity}")
             self.stats.max_coherence_count = max(
                 self.stats.max_coherence_count, lock.coherence_count)
-            if manager._waits_for.has_cycle():
-                raise InvariantViolation(
-                    f"{name}: waits-for cycle survived detection")
+        if manager._waits_for.has_cycle():
+            raise InvariantViolation(
+                f"{name}: waits-for cycle survived detection")
+        self._audit_lock_index(manager, name)
+
+    @staticmethod
+    def _audit_lock_index(manager, name: str) -> None:
+        """The per-transaction index is exactly a recount of the table."""
+        held: dict[int, dict] = {}
+        queued: dict[int, dict[int, int]] = {}
+        for entity, lock in manager._locks.items():
+            for txn_id in lock.holders:
+                held.setdefault(txn_id, {})[entity] = lock
+            for request in lock.waiters:
+                counts = queued.setdefault(request.txn_id, {})
+                counts[entity] = counts.get(entity, 0) + 1
+        grants = sum(len(locks) for locks in held.values())
+        if manager.total_locks_held() != grants:
+            raise InvariantViolation(
+                f"{name}: running grant count "
+                f"{manager.total_locks_held()} != {grants} holders")
+        if manager._held != held:
+            raise InvariantViolation(
+                f"{name}: held-lock index disagrees with the lock table")
+        if manager._queued != queued:
+            raise InvariantViolation(
+                f"{name}: queued-request index disagrees with the lock "
+                f"table")
 
 
 def attach_checker(system: HybridSystem,

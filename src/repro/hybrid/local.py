@@ -980,10 +980,7 @@ class LocalSite(SiteBase):
         its commit or release order now, so the grant would pin the
         entities forever.  Conservative abort-and-retry: drop them.
         """
-        holders: set[int] = set()
-        for lock in self.locks._locks.values():
-            holders.update(lock.holders)
-        for txn_id in sorted(holders):
+        for txn_id in self.locks.holders():
             if txn_id not in self.active:
                 self.locks.release_all(txn_id)
 

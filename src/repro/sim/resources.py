@@ -18,17 +18,16 @@ wait queue (used when a transaction waiting for the CPU is aborted).
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
 from operator import attrgetter
 from typing import Any
 
-from .engine import Environment, Event, Interrupt, SimulationError
+from .engine import PENDING, Environment, Event, Interrupt, SimulationError
 
 __all__ = ["Resource", "PriorityResource", "Request", "Store"]
 
-#: Grant scan key, bound once: reading a precomputed tuple attribute is
-#: several times cheaper than rebuilding it per comparison inside
-#: ``min`` on the grant hot path.
+#: Queue order key, bound once for ``insort``.
 _REQUEST_KEY = attrgetter("_key")
 
 
@@ -43,8 +42,15 @@ class Request(Event):
         # released on exit
     """
 
+    __slots__ = ("resource", "priority", "_order", "_key")
+
     def __init__(self, resource: "Resource", priority: float = 0.0):
-        super().__init__(resource.env)
+        # Event.__init__, inlined: a request is made per CPU burst.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
         self._order = next(resource._ticket)
@@ -78,7 +84,8 @@ class Resource:
     The queue length (``len(resource.queue)``) plus the number of busy
     servers (``resource.count``) is exactly the "CPU queue length
     including any running jobs" statistic the paper's dynamic strategies
-    sample.
+    sample.  The queue is kept in grant order -- priority first, then
+    FIFO by ticket -- so a grant takes its head.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -144,14 +151,23 @@ class Resource:
         self._last_change = now
 
     def _enqueue_request(self, request: Request) -> None:
-        self._account()
-        self.queue.append(request)
+        now = self.env.now
+        self._busy_integral += len(self.users) * (now - self._last_change)
+        self._last_change = now
+        queue = self.queue
+        if queue and request._key < queue[-1]._key:
+            insort(queue, request, key=_REQUEST_KEY)
+        else:
+            queue.append(request)
         self._grant_waiters()
 
     def _cancel(self, request: Request) -> None:
-        self._account()
-        if request in self.users:
-            self.users.remove(request)
+        now = self.env.now
+        users = self.users
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        if request in users:
+            users.remove(request)
             self._grant_waiters()
         elif request in self.queue:
             self.queue.remove(request)
@@ -161,13 +177,7 @@ class Resource:
         users = self.users
         capacity = self.capacity
         while queue and len(users) < capacity:
-            if len(queue) == 1:
-                # Single waiter (the common case under light
-                # contention): no ordering to resolve.
-                nxt = queue.pop()
-            else:
-                nxt = min(queue, key=_REQUEST_KEY)
-                queue.remove(nxt)
+            nxt = queue.pop(0)
             users.append(nxt)
             self.grants += 1
             nxt.succeed()

@@ -54,11 +54,42 @@ def test_exclusive_plus_share_detected():
 def test_shared_holders_are_legal():
     system = build()
     checker = checker_for(system)
-    lock = Lock(entity=424_244)
-    lock.holders[1] = LockMode.SHARE
-    lock.holders[2] = LockMode.SHARE
-    system.sites[0].locks._locks[424_244] = lock
+    locks = system.sites[0].locks
+    assert locks.acquire(1, 424_244, LockMode.SHARE).triggered
+    assert locks.acquire(2, 424_244, LockMode.SHARE).triggered
     checker.audit()  # two readers are fine
+
+
+def test_holder_missing_from_index_detected():
+    system = build()
+    checker = checker_for(system)
+    lock = Lock(entity=424_246)
+    lock.holders[1] = LockMode.SHARE
+    system.sites[1].locks._locks[424_246] = lock
+    with pytest.raises(InvariantViolation, match="running grant count"):
+        checker.audit()
+
+
+def test_stale_index_entry_detected():
+    system = build()
+    checker = checker_for(system)
+    locks = system.central.locks
+    assert locks.acquire(900_003, 424_247, LockMode.EXCLUSIVE).triggered
+    locks._locks[424_247].holders.clear()
+    locks._held_count -= 1
+    with pytest.raises(InvariantViolation, match="held-lock index"):
+        checker.audit()
+
+
+def test_queued_request_missing_from_index_detected():
+    system = build()
+    checker = checker_for(system)
+    locks = system.central.locks
+    assert locks.acquire(900_004, 424_248, LockMode.EXCLUSIVE).triggered
+    assert not locks.acquire(900_005, 424_248, LockMode.SHARE).triggered
+    del locks._queued[900_005]
+    with pytest.raises(InvariantViolation, match="queued-request index"):
+        checker.audit()
 
 
 def test_negative_coherence_count_detected():

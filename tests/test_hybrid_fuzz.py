@@ -109,6 +109,7 @@ def test_random_workload_drains_clean(specs, options):
         assert site.locks.total_locks_held() == 0
         assert site.locks.waiting_requests() == 0
         assert not site.locks._locks  # coherence fully drained
+        assert not site.locks._held and not site.locks._queued
         assert site.shipped_in_flight == 0
     assert system.central.locks.total_locks_held() == 0
     assert not system.central._pending_auth
@@ -150,6 +151,7 @@ def test_random_workload_drains_clean_remote_call_mode(specs):
         assert site.locks.total_locks_held() == 0
         assert not site._pending_remote_calls
         assert not site.locks._locks
+        assert not site.locks._held and not site.locks._queued
     assert system.central.locks.total_locks_held() == 0
     assert not system.central._remote_holders
     assert replica_divergence(system) == {}

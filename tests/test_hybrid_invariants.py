@@ -59,6 +59,8 @@ def test_all_coherence_counts_drained(drained):
         # Lock records are garbage collected when fully free, so any
         # surviving record would indicate a stuck coherence count.
         assert not site.locks._locks, site.name
+        assert not site.locks._held, site.name
+        assert not site.locks._queued, site.name
 
 
 def test_no_pending_authentication(drained):
@@ -93,6 +95,8 @@ def test_drain_with_large_delay():
     assert system.n_local_total == 0
     for site in system.sites:
         assert not site.locks._locks
+        assert not site.locks._held
+        assert not site.locks._queued
 
 
 def test_completions_equal_generated_minus_none():

@@ -89,6 +89,7 @@ def test_lock_manager_total_grants_conserved(operations):
     assert manager.total_locks_held() == 0
     assert manager.waiting_requests() == 0
     assert not manager._locks
+    assert not manager._held and not manager._queued
     # Every surviving request was eventually granted (released later) or
     # was dropped by its owner's release_all before grant -- but none is
     # left half-granted.

@@ -110,6 +110,32 @@ def test_priority_beats_fifo():
     assert order == ["high", "low"]
 
 
+def test_mixed_priorities_with_cancel_grant_in_priority_then_fifo_order():
+    env = Environment()
+    cpu = Resource(env)
+    holder = cpu.request()
+    requests = {tag: cpu.request(priority=prio) for tag, prio in
+                [("a0", 0), ("b5", 5), ("c-1", -1), ("d0", 0),
+                 ("e5", 5), ("f-1", -1), ("g0", 0)]}
+    # The queue is kept in grant order at all times.
+    assert [request.key for request in cpu.queue] == \
+        sorted(request.key for request in cpu.queue)
+    requests["d0"].cancel()  # a queued request leaves the queue
+    requests["f-1"].cancel()
+    requests["f-1"].cancel()  # cancelling twice is harmless
+    granted = []
+    cpu.release(holder)
+    while cpu.users:
+        user = cpu.users[0]
+        granted.append(next(tag for tag, request in requests.items()
+                            if request is user))
+        cpu.release(user)
+    assert granted == ["c-1", "a0", "g0", "b5", "e5"]
+    assert not cpu.queue
+    assert all(not requests[tag].triggered for tag in ("d0", "f-1"))
+    assert cpu.grants == 6
+
+
 def test_queue_length_counts_waiting_and_running():
     env = Environment()
     cpu = Resource(env)
