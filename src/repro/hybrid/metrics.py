@@ -476,10 +476,11 @@ class MetricsCollector:
         # coincides with arrival); time until the first attributed phase
         # falls into the catch-all ``other`` bucket.
         txn.spans.enter(PHASE_OTHER, self.env.now)
-        self.tracer.emit(self.env.now, "route", txn=txn.txn_id,
-                         site=txn.home_site,
-                         txn_class=txn.txn_class.value,
-                         placement=txn.placement.value)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "route", txn=txn.txn_id,
+                             site=txn.home_site,
+                             txn_class=txn.txn_class.value,
+                             placement=txn.placement.value)
         self._routing.labels(txn.placement.value, reason).inc()
         if self.audit is not None:
             self.audit.record(txn, placement=txn.placement.value,
@@ -495,11 +496,11 @@ class MetricsCollector:
             self._arrivals_b.inc()
 
     def record_completion(self, txn: Transaction) -> None:
-        self.tracer.emit(self.env.now, "commit", txn=txn.txn_id,
-                         site=txn.home_site, txn_kind=txn.kind().value,
-                         response=round(txn.response_time, 6),
-                         runs=txn.run_count)
         if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "commit", txn=txn.txn_id,
+                             site=txn.home_site, txn_kind=txn.kind().value,
+                             response=round(txn.response_time, 6),
+                             runs=txn.run_count)
             self.tracer.emit(
                 self.env.now, "spans", txn=txn.txn_id,
                 site=txn.home_site, txn_kind=txn.kind().value,
@@ -524,9 +525,10 @@ class MetricsCollector:
             by_placement[phase].add(seconds)
 
     def record_abort(self, txn: Transaction, cause: str) -> None:
-        self.tracer.emit(self.env.now, "abort", txn=txn.txn_id,
-                         site=txn.home_site, cause=cause,
-                         run=txn.run_count)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "abort", txn=txn.txn_id,
+                             site=txn.home_site, cause=cause,
+                             run=txn.run_count)
         if not self.measuring:
             return
         if cause == "deadlock":
@@ -546,9 +548,10 @@ class MetricsCollector:
         master sites that refused, so the event log can attribute the
         rerun (the counters never needed them, the trace does).
         """
-        self.tracer.emit(self.env.now, "negative-ack",
-                         txn=None if txn is None else txn.txn_id,
-                         sites=sites)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "negative-ack",
+                             txn=None if txn is None else txn.txn_id,
+                             sites=sites)
         if self.measuring:
             self._nak.inc()
 
@@ -601,22 +604,25 @@ class MetricsCollector:
         Counted unconditionally -- the fault schedule is part of the
         experiment design, not a measured quantity.
         """
-        self.tracer.emit(self.env.now, "fault", fault=kind, phase=phase,
-                         site=site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "fault", fault=kind, phase=phase,
+                             site=site)
         self._faults.inc()
 
     def record_timeout(self, txn: Transaction) -> None:
         """A shipped transaction's response retry budget was exhausted."""
-        self.tracer.emit(self.env.now, "timeout", txn=txn.txn_id,
-                         site=txn.home_site,
-                         txn_class=txn.txn_class.value)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "timeout", txn=txn.txn_id,
+                             site=txn.home_site,
+                             txn_class=txn.txn_class.value)
         if self.measuring:
             self._timed_out.inc()
 
     def record_failover(self, txn: Transaction) -> None:
         """A timed-out class A shipment re-runs at its home site."""
-        self.tracer.emit(self.env.now, "failover", txn=txn.txn_id,
-                         site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "failover", txn=txn.txn_id,
+                             site=txn.home_site)
         if self.audit is not None:
             self.audit.record(txn, placement=Placement.LOCAL.value,
                               reason="failover", now=self.env.now)
@@ -625,30 +631,34 @@ class MetricsCollector:
 
     def record_failure(self, txn: Transaction, cause: str) -> None:
         """A transaction was abandoned permanently (never commits)."""
-        self.tracer.emit(self.env.now, "txn-failed", txn=txn.txn_id,
-                         site=txn.home_site, cause=cause)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "txn-failed", txn=txn.txn_id,
+                             site=txn.home_site, cause=cause)
         if self.measuring:
             self._failed.inc()
 
     def record_cancelled(self, txn: Transaction) -> None:
         """Central killed an execution on a ShipmentCancel."""
-        self.tracer.emit(self.env.now, "cancel", txn=txn.txn_id,
-                         site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "cancel", txn=txn.txn_id,
+                             site=txn.home_site)
         if self.measuring:
             self._cancelled.inc()
 
     def record_fallback_routing(self, txn: Transaction,
                                 reason: str) -> None:
         """Failure-aware routing kept a class A arrival local."""
-        self.tracer.emit(self.env.now, "fallback", txn=txn.txn_id,
-                         site=txn.home_site, reason=reason)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "fallback", txn=txn.txn_id,
+                             site=txn.home_site, reason=reason)
         if self.measuring:
             self._fallbacks.inc()
 
     def record_rejected_arrival(self, txn: Transaction) -> None:
         """An arrival hit a crashed site and was turned away."""
-        self.tracer.emit(self.env.now, "rejected", txn=txn.txn_id,
-                         site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "rejected", txn=txn.txn_id,
+                             site=txn.home_site)
         if self.measuring:
             self._rejected.inc()
 
@@ -676,30 +686,34 @@ class MetricsCollector:
 
     def record_shed(self, txn: Transaction, node: str) -> None:
         """Bounded admission shed an arrival at ``node``."""
-        self.tracer.emit(self.env.now, "shed", txn=txn.txn_id,
-                         site=txn.home_site, node=node)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "shed", txn=txn.txn_id,
+                             site=txn.home_site, node=node)
         if self.measuring:
             self._shed.labels(node).inc()
             self._shed_total += 1
 
     def record_lost_in_crash(self, txn: Transaction) -> None:
         """A site crash destroyed this in-flight transaction."""
-        self.tracer.emit(self.env.now, "txn-lost", txn=txn.txn_id,
-                         site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "txn-lost", txn=txn.txn_id,
+                             site=txn.home_site)
         if self.measuring:
             self._lost_in_crash.inc()
 
     def record_deadline_cancel(self, txn: Transaction) -> None:
         """A shipment was cancelled because its deadline passed."""
-        self.tracer.emit(self.env.now, "deadline-cancel",
-                         txn=txn.txn_id, site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "deadline-cancel",
+                             txn=txn.txn_id, site=txn.home_site)
         if self.measuring:
             self._deadline_cancelled.inc()
 
     def record_reship(self, txn: Transaction) -> None:
         """A class B shipment was re-shipped to the standby."""
-        self.tracer.emit(self.env.now, "reship", txn=txn.txn_id,
-                         site=txn.home_site)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "reship", txn=txn.txn_id,
+                             site=txn.home_site)
         if self.measuring:
             self._reshipped.inc()
 
@@ -709,14 +723,16 @@ class MetricsCollector:
         Counted unconditionally: breaker state is part of the failure
         timeline, like fault-episode transitions.
         """
-        self.tracer.emit(self.env.now, "breaker", site=site, state=state)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "breaker", site=site, state=state)
         self._breaker.labels(f"site-{site}", state).inc()
         self._breaker_total += 1
 
     def record_takeover(self, event: str) -> None:
         """A takeover protocol event (``takeover``/``primary-deposed``/
         ``repoint-...``) occurred.  Counted unconditionally."""
-        self.tracer.emit(self.env.now, "takeover", event=event)
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "takeover", event=event)
         self._takeovers.labels(event).inc()
 
     def record_repoint(self, site: int) -> None:
@@ -731,9 +747,10 @@ class MetricsCollector:
         experiment design, like the fault schedule itself.
         """
         from ..sim.faults import RecoveryRecord
-        self.tracer.emit(self.env.now, "recovery", recovery=kind,
-                         site=site, started=round(started, 6),
-                         completed=round(completed, 6))
+        if self.tracer.enabled:
+            self.tracer.emit(self.env.now, "recovery", recovery=kind,
+                             site=site, started=round(started, 6),
+                             completed=round(completed, 6))
         self._recovery_counter.labels(kind).inc()
         self.recoveries.append(RecoveryRecord(
             kind=kind, site=site, started=started, completed=completed))

@@ -63,10 +63,7 @@ class HybridSystem:
                  audit: "RoutingAudit | None" = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
-        # Event pooling is safe here: the protocol never inspects a
-        # timeout after it fires, and the golden-trace suite pins the
-        # pooled and unpooled sample paths to the same fingerprints.
-        self.env = Environment(event_pooling=True)
+        self.env = Environment()
         self.streams = RandomStreams(self.seed)
         self.tracer = tracer if tracer is not None else NullTracer()
         self.registry = registry if registry is not None \

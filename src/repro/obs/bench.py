@@ -69,8 +69,9 @@ BENCHMARKS: dict[str, BenchmarkDef] = {
                     "interrupts -- no protocol code)"),
     "system_throughput": BenchmarkDef(
         name="system_throughput", metric="events_per_sec",
-        description="end-to-end dispatch rate of one hot queue-length "
-                    "run (kernel + full protocol stack)"),
+        description="end-to-end dispatch rate of the canonical run: "
+                    "queue-length at 18 tps, 5 s warm-up + 60 s window "
+                    "(kernel + full protocol stack; ignores --scale)"),
     "figure_4_1": BenchmarkDef(
         name="figure_4_1", metric="seconds",
         description="wall-clock of the Figure 4.1 sweep (serial, "
@@ -96,13 +97,14 @@ def kernel_workload(horizon: float = 400.0):
     measured rate is the kernel's and a kernel regression cannot hide
     behind protocol cost:
 
-    * staggered timeout loops (the calendar's steady-state churn),
+    * staggered timeout loops (the future heap's steady-state churn),
     * zero-delay event chains (``succeed`` -- the immediate band),
     * contended resource request/hold/release cycles (grant callbacks),
     * short-lived processes spawned and joined (init/termination),
     * periodic interrupts (priority-0 pre-emption),
     * ``AnyOf`` races of a timeout against a signal, and
-    * a sparse far-future backlog (the overflow band).
+    * a sparse far-future backlog (a deep heap under the hot
+      near-term traffic).
 
     The component weights mirror the dispatch mix of a real protocol
     run.  Profiling ``queue-length`` at scale 0.3 with the engine
@@ -185,8 +187,8 @@ def kernel_workload(horizon: float = 400.0):
         env.process(interrupter(victim))
     for _ in range(4):
         env.process(racer())
-    # Sparse far-future backlog: keeps a populated far band / deep heap
-    # under the feet of the hot near-term traffic for the whole run.
+    # Sparse far-future backlog: keeps a deep heap under the feet of
+    # the hot near-term traffic for the whole run.
     def sleeper(delay):
         yield env.timeout(delay)
     for i in range(2_000):
@@ -228,16 +230,27 @@ def _run_engine_throughput(scale: float, repeat: int,
     }
 
 
+#: The canonical single-point run: queue-length routing at 18 tps with
+#: a 5 s warm-up and a 60 s measurement window (about 100k events).
+CANONICAL_RUN = {"strategy": "queue-length", "rate": 18.0,
+                 "warmup_time": 5.0, "measure_time": 60.0}
+
+
 def _run_system_throughput(scale: float, repeat: int,
                            handicap: float) -> dict:
-    """Best-of-``repeat`` end-to-end dispatch rate (kernel + protocol)."""
+    """Best-of-``repeat`` end-to-end dispatch rate (kernel + protocol).
+
+    Always runs the canonical point, whatever ``scale`` says: a scaled
+    horizon shrinks it to a few thousand events, which is mostly noise.
+    """
     from ..experiments.runner import RunSettings, run_single
 
-    settings = RunSettings(warmup_time=5.0 * scale,
-                           measure_time=60.0 * scale)
+    settings = RunSettings(warmup_time=CANONICAL_RUN["warmup_time"],
+                           measure_time=CANONICAL_RUN["measure_time"])
     best = None
     for attempt in range(repeat):
-        result = run_single("queue-length", 18.0, settings=settings)
+        result = run_single(CANONICAL_RUN["strategy"],
+                            CANONICAL_RUN["rate"], settings=settings)
         log.info("system_throughput attempt %d/%d: %.0f events/s",
                  attempt + 1, repeat, result.engine_events_per_sec)
         if best is None or \
@@ -245,10 +258,8 @@ def _run_system_throughput(scale: float, repeat: int,
             best = result
     return {
         "benchmark": "system_throughput",
-        "scale": scale,
         "repeat": repeat,
-        "strategy": "queue-length",
-        "rate": 18.0,
+        **CANONICAL_RUN,
         "events": best.engine_events,
         "events_per_sec": round(best.engine_events_per_sec / handicap, 1),
         "seconds": round(best.wall_clock_seconds * handicap, 3),

@@ -186,11 +186,8 @@ class EngineProfiler:
             f"calendar: mean depth {heap['mean_depth']:.1f}, peak "
             f"{heap['peak_depth']}, churn {heap['churn']:.2f} "
             f"scheduled/dispatch",
-            f"structure: {calendar['buckets']} bucket(s) "
-            f"({calendar['buckets_used']} occupied, max occupancy "
-            f"{calendar['max_bucket_occupancy']}), "
-            f"{calendar['overflow']} far-future, "
-            f"{calendar['rebuilds']} rebuild(s)",
+            f"structure: {calendar['immediate']} immediate, "
+            f"{calendar['future']} future pending at end",
             f"{'event type':<32} {'count':>10} {'time':>9} "
             f"{'share':>6} {'mean':>9}",
         ]

@@ -23,55 +23,38 @@ ties), so simulations are exactly reproducible for a fixed RNG seed.
 Event calendar
 --------------
 
-The calendar realises the total order ``(time, priority, seq)`` without
-a global heap.  Three bands cover the three regimes of a discrete-event
-run:
+The calendar realises the total order ``(time, priority, seq)`` in two
+bands:
 
 * **Immediate band** -- zero-delay events (``succeed``/``fail``,
   process start-ups, interrupts) fire at the current clock reading and
   in scheduling order, so they live in plain FIFO deques (one per
   priority level) with no sort key at all.  This is the kernel's
   dominant traffic and costs one ``append``/``popleft`` per event.
-* **Calendar window** -- future events within ``nbuckets * width`` of
-  the window origin are hashed by timestamp into an array of buckets
-  (a calendar queue).  Each bucket is kept sorted by the
-  ``(time, priority, seq)`` tuple via C-level ``insort``, so the head
-  of the first occupied bucket *is* the calendar head: enqueue is O(1)
-  amortised, dequeue pops the front, and the cached head entry stays
-  valid across enqueues and same-bucket pops (a full rescan happens
-  only when a bucket drains or the window resizes).  The width and
-  bucket count resize automatically when occupancy degenerates.
-* **Overflow band** -- events beyond the window land in a sorted
-  (heap-ordered) far-future band and are promoted in bulk whenever the
-  window drains past them.
+* **Future band** -- every later event sits in one binary heap of
+  ``(time, seq, event)`` entries.  Future events all carry the default
+  priority, so ``(time, seq)`` is the same order as
+  ``(time, priority, seq)``, and the unique ``seq`` means two entries
+  never fall through to comparing events.
 
-Every enqueue still consumes one monotonically increasing sequence
-number, and the dispatch order is bit-for-bit the order the previous
-binary-heap calendar produced.
+Every enqueue consumes one monotonically increasing sequence number.
+A future entry that reaches the current time was scheduled before any
+immediate event at that time, so it fires ahead of the normal-priority
+immediates; interrupts (priority 0) still pre-empt it, and deferred
+interrupts (priority 2) still follow it.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort as _insort
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
-from sys import getrefcount as _getrefcount
 from typing import Any
 
-# Bound at module level: the far-future band pushes/pops are the only
-# heap operations left, but a global lookup is still cheaper than
-# attribute traversal where they do happen.
+# Bound at module level: a global lookup is cheaper than the attribute
+# traversal on the hot schedule and dispatch paths.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-#: Bucket-occupancy watermark above which the calendar window re-spreads
-#: itself with a finer bucket width (unless all entries share one
-#: timestamp, which no width can separate).
-_SPLIT_FLOOR = 48
-
-#: Cap on each free list when event pooling is enabled.
-_POOL_LIMIT = 512
 
 __all__ = [
     "Environment",
@@ -477,20 +460,13 @@ class Process(Event):
 class Environment:
     """Simulation environment: clock, event calendar and run loop.
 
-    ``event_pooling=True`` turns on free-list recycling of the kernel's
-    own short-lived objects (:class:`Timeout` and bare :class:`Event`
-    instances): an event that is provably unreferenced once its
-    callbacks have run is reset and reused instead of re-allocated.
-    Recycling never changes scheduling order, event counts or values --
-    it only skips allocator work -- and it is off by default so
-    interactive code that keeps dispatched events around for inspection
-    is never surprised.
+    ``now`` is a plain attribute holding the current simulated time.
+    Only the kernel writes it; everything else reads it.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 event_pooling: bool = False):
-        now = float(initial_time)
-        self._now = now
+    def __init__(self, initial_time: float = 0.0):
+        #: Current simulated time.
+        self.now = float(initial_time)
         self._seq = 0
         self._size = 0
         self._active: Process | None = None
@@ -500,37 +476,10 @@ class Environment:
         self._imm0: deque[Event] = deque()
         self._imm1: deque[Event] = deque()
         self._imm2: deque[Event] = deque()
-        # Calendar window: buckets of (time, priority, seq, event)
-        # entries covering [t0, t0 + nbuckets * width).  width == 0.0
-        # means "not yet calibrated" (calibrated by the first future
-        # enqueue, from its delay).
-        self._t0 = now
-        self._width = 0.0
-        self._inv_width = 0.0
-        self._nbuckets = 0
-        self._buckets: list[list[tuple[float, int, int, Event]]] = []
-        self._cursor = 0
-        self._win_count = 0
-        self._win_end = now
-        #: Watermark above which an over-full head bucket triggers a
-        #: re-spread; raised after a failed split (all-equal timestamps)
-        #: so the scan does not retry on every refresh.
-        self._split_floor = _SPLIT_FLOOR
-        # Far-future band: heap of the same entry tuples.
-        self._overflow: list[tuple[float, int, int, Event]] = []
-        # Cached window head (entry tuple) and its bucket index;
-        # ``None`` means "recompute on next access".
-        self._head: tuple[float, int, int, Event] | None = None
-        self._head_bucket = -1
-        # Event pooling (kernel flag; see class docstring).
-        self._pooling = bool(event_pooling)
-        self._timeout_pool: list[Timeout] = []
-        self._event_pool: list[Event] = []
-        #: Profiling counters (cheap; read by the run instrumentation).
+        # Future band: heap of (time, seq, event) entries.
+        self._future: list[tuple[float, int, Event]] = []
+        #: Profiling counter (cheap; read by the run instrumentation).
         self.heap_peak = 0
-        #: Calendar rebuilds (resizes/re-spreads) over the run --
-        #: structural churn the profiler reports alongside depth.
-        self.calendar_rebuilds = 0
 
     @property
     def events_scheduled(self) -> int:
@@ -554,31 +503,19 @@ class Environment:
 
     @property
     def calendar_depth(self) -> int:
-        """Events currently pending across all calendar bands."""
+        """Events currently pending across both calendar bands."""
         return self._size
 
     def calendar_stats(self) -> dict:
         """Structural snapshot of the calendar (profiler/debug aid)."""
-        occupancies = [len(bucket) for bucket in self._buckets if bucket]
         return {
             "depth": self._size,
             "immediate": (len(self._imm0) + len(self._imm1) +
                           len(self._imm2)),
-            "window": self._win_count,
-            "overflow": len(self._overflow),
-            "buckets": self._nbuckets,
-            "buckets_used": len(occupancies),
-            "max_bucket_occupancy": max(occupancies, default=0),
-            "bucket_width": self._width,
-            "rebuilds": self.calendar_rebuilds,
+            "future": len(self._future),
         }
 
-    # -- clock ------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
+    # -- active process ----------------------------------------------------
 
     @property
     def active_process(self) -> Process | None:
@@ -594,16 +531,11 @@ class Environment:
     def event(self) -> Event:
         """Create a new untriggered :class:`Event`.
 
-        Construction is inlined (``__new__`` plus field writes) on both
-        the pooled and fresh paths -- this factory sits on the condition
-        and mailbox hot paths.
+        Construction is inlined (``__new__`` plus field writes): this
+        factory sits on the condition and mailbox hot paths.
         """
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = Event.__new__(Event)
-            event.env = self
+        event = Event.__new__(Event)
+        event.env = self
         event.callbacks = []
         event._value = PENDING
         event._ok = True
@@ -614,17 +546,12 @@ class Environment:
         """Create an event firing ``delay`` time units from now.
 
         Timeouts are the most frequently allocated event kind, so the
-        constructor is inlined here (recycling a pooled instance when
-        one is free) and the calendar insert is a single call.
+        constructor and the calendar insert are inlined here.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-        else:
-            timeout = Timeout.__new__(Timeout)
-            timeout.env = self
+        timeout = Timeout.__new__(Timeout)
+        timeout.env = self
         timeout.callbacks = []
         timeout._value = value
         timeout._ok = True
@@ -635,33 +562,16 @@ class Environment:
         # frame.  Mirror any scheduling change made here in _enqueue
         # (and vice versa); the peak bookkeeping below is the same
         # single-site accounting documented there.
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         size = self._size = self._size + 1
         if size > self.heap_peak:
             self.heap_peak = size
-        now = self._now
+        now = self.now
         time = now + delay
         if time <= now:
             self._imm1.append(timeout)
-            return timeout
-        if self._width == 0.0:
-            self._calibrate(now, time - now)
-        if time >= self._win_end:
-            _heappush(self._overflow, (time, 1, self._seq, timeout))
-            return timeout
-        idx = int((time - self._t0) * self._inv_width)
-        if idx >= self._nbuckets:
-            idx = self._nbuckets - 1
-        elif idx < self._cursor:
-            idx = self._cursor
-        entry = (time, 1, self._seq, timeout)
-        _insort(self._buckets[idx], entry)
-        self._win_count += 1
-        head = self._head
-        if head is not None and idx == self._head_bucket and entry < head:
-            self._head = entry
-        if self._win_count > (self._nbuckets << 1):
-            self._rebuild_window()
+        else:
+            _heappush(self._future, (time, seq, timeout))
         return timeout
 
     def process(self, generator: ProcessGenerator,
@@ -691,11 +601,11 @@ class Environment:
         local maximum of its size is observed exactly at the increment
         below -- no sampling in :meth:`step` or :meth:`run` needed.
         """
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         size = self._size = self._size + 1
         if size > self.heap_peak:
             self.heap_peak = size
-        now = self._now
+        now = self.now
         time = now + delay
         if time <= now:
             # Zero-delay (including the float-degenerate ``now + tiny ==
@@ -712,184 +622,14 @@ class Environment:
             raise SimulationError(
                 "non-default priorities are only supported for "
                 "zero-delay events")
-        if self._width == 0.0:
-            # First future event calibrates the window: its delay is the
-            # natural scale of the workload's near-term traffic.
-            self._calibrate(now, time - now)
-        if time >= self._win_end:
-            _heappush(self._overflow, (time, 1, self._seq, event))
-            return
-        idx = int((time - self._t0) * self._inv_width)
-        if idx >= self._nbuckets:
-            idx = self._nbuckets - 1
-        elif idx < self._cursor:
-            idx = self._cursor
-        entry = (time, 1, self._seq, event)
-        _insort(self._buckets[idx], entry)
-        self._win_count += 1
-        # The cursor never trails the head bucket, so an insert can only
-        # displace a *valid* cached head from its own bucket -- in which
-        # case the smaller entry simply replaces it, keeping the cache
-        # warm without any rescan.
-        head = self._head
-        if head is not None and idx == self._head_bucket and entry < head:
-            self._head = entry
-        if self._win_count > (self._nbuckets << 1):
-            self._rebuild_window()
-
-    # -- calendar internals -------------------------------------------------
-
-    def _calibrate(self, t0: float, width: float) -> None:
-        """Open the first calendar window at origin ``t0``."""
-        if width < 1e-12:
-            # Also floors subnormal widths, whose reciprocal would
-            # overflow to infinity.
-            width = 1e-12
-        self._t0 = t0
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._nbuckets = 256
-        self._buckets = [[] for _ in range(256)]
-        self._cursor = 0
-        self._win_end = t0 + 256 * width
-        self._head = None
-        self._head_bucket = -1
-
-    def _refresh_head(self) -> "tuple[float, int, int, Event] | None":
-        """Locate (and cache) the earliest window entry.
-
-        Promotes the overflow band when the window has drained, and
-        re-spreads a degenerated window (over-full head bucket) with a
-        finer width.  Returns ``None`` only when no future event exists
-        anywhere.
-        """
-        while True:
-            if self._win_count:
-                buckets = self._buckets
-                n = self._nbuckets
-                cursor = self._cursor
-                while cursor < n:
-                    bucket = buckets[cursor]
-                    if bucket:
-                        if len(bucket) > self._split_floor and \
-                                self._rebuild_window():
-                            break  # re-spread; rescan from new cursor
-                        self._cursor = cursor
-                        entry = bucket[0]  # buckets are kept sorted
-                        self._head = entry
-                        self._head_bucket = cursor
-                        return entry
-                    cursor += 1
-                else:  # pragma: no cover - accounting invariant
-                    raise SimulationError("calendar accounting corrupted")
-                continue
-            if not self._overflow:
-                self._head = None
-                self._head_bucket = -1
-                return None
-            self._advance_window()
-
-    def _place(self, entry: "tuple[float, int, int, Event]") -> None:
-        """Drop an entry into its window bucket (rebuild/promotion path)."""
-        idx = int((entry[0] - self._t0) * self._inv_width)
-        if idx >= self._nbuckets:
-            idx = self._nbuckets - 1
-        elif idx < 0:
-            idx = 0
-        _insort(self._buckets[idx], entry)
-        self._win_count += 1
-
-    def _advance_window(self) -> None:
-        """Move the drained window up to the overflow band's head and
-        promote every overflow entry the new span covers."""
-        overflow = self._overflow
-        t0 = overflow[0][0]
-        self._t0 = t0
-        self._cursor = 0
-        self._win_end = end = t0 + self._nbuckets * self._width
-        self._head = None
-        self._head_bucket = -1
-        while overflow and overflow[0][0] < end:
-            self._place(_heappop(overflow))
-        if self._win_count > (self._nbuckets << 1):
-            self._rebuild_window()
-
-    def _rebuild_window(self) -> bool:
-        """Re-spread the window with a width matched to its occupancy.
-
-        Width targets one entry per bucket over the occupied span; the
-        bucket count covers twice that span so near-term enqueues keep
-        landing inside the window.  Returns ``False`` (and raises the
-        split floor) when every entry shares one timestamp -- no width
-        can separate those.
-        """
-        entries: list[tuple[float, int, int, Event]] = []
-        for bucket in self._buckets:
-            if bucket:
-                entries.extend(bucket)
-        count = len(entries)
-        if not count:
-            return False
-        tmin = tmax = entries[0][0]
-        for entry in entries:
-            time = entry[0]
-            if time < tmin:
-                tmin = time
-            elif time > tmax:
-                tmax = time
-        span = tmax - tmin
-        if span <= 0.0 and count > 1:
-            # Indivisible cluster: no width can separate entries that
-            # all share one timestamp.  Stop trying to split until the
-            # window grows substantially (buckets are untouched).
-            self._split_floor = max(count * 2, self._split_floor)
-            return False
-        nbuckets = 256
-        while nbuckets < count * 2 and nbuckets < 131_072:
-            nbuckets <<= 1
-        width = span / count if span > 0.0 else self._width
-        if width < 1e-12:  # incl. subnormals: 1/width must stay finite
-            width = 1e-12
-        if tmin == self._t0 and width == self._width \
-                and nbuckets == self._nbuckets:
-            # The re-spread would reproduce this exact layout: the
-            # over-full bucket is a sub-width cluster (e.g. thousands
-            # of retry timers sharing one deadline) that no rebuild
-            # can separate.  Raise the floor so the head scan stops
-            # asking -- retrying here would loop forever.
-            self._split_floor = max(count * 2, self._split_floor)
-            return False
-        for bucket in self._buckets:
-            if bucket:
-                bucket.clear()
-        self._split_floor = _SPLIT_FLOOR
-        self._t0 = tmin
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._cursor = 0
-        self._win_end = end = tmin + nbuckets * width
-        self._win_count = 0
-        for entry in entries:
-            self._place(entry)
-        overflow = self._overflow
-        while overflow and overflow[0][0] < end:
-            self._place(_heappop(overflow))
-        self._head = None
-        self._head_bucket = -1
-        self.calendar_rebuilds += 1
-        return True
+        _heappush(self._future, (time, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._imm0 or self._imm1 or self._imm2:
-            return self._now
-        if self._win_count or self._overflow:
-            head = self._head
-            if head is None:
-                head = self._refresh_head()
-            return head[0]
+            return self.now
+        if self._future:
+            return self._future[0][0]
         return float("inf")
 
     def next_event(self) -> "Event | None":
@@ -902,65 +642,36 @@ class Environment:
         """
         if self._imm0:
             return self._imm0[0]
-        head = None
-        if self._win_count or self._overflow:
-            head = self._head
-            if head is None:
-                head = self._refresh_head()
+        future = self._future
         if self._imm1:
-            if head is not None and head[0] <= self._now:
-                return head[3]
+            if future and future[0][0] <= self.now:
+                return future[0][2]
             return self._imm1[0]
-        if head is not None:
-            if self._imm2 and head[0] > self._now:
+        if future:
+            if self._imm2 and future[0][0] > self.now:
                 return self._imm2[0]
-            return head[3]
+            return future[0][2]
         return self._imm2[0] if self._imm2 else None
 
     def step(self) -> None:
-        """Process the next scheduled event.
-
-        The head pop is inlined at both window-dispatch sites: the front
-        of the head bucket is removed and its successor -- if the bucket
-        still has one -- becomes the new cached head (everything in
-        earlier buckets is gone, everything in later buckets is later),
-        so only a drained bucket forces a cursor rescan.
-        """
+        """Process the next scheduled event."""
         if self._imm0:
             event = self._imm0.popleft()
         elif self._imm1:
-            # A window entry at exactly the current time was scheduled
+            # A future entry at exactly the current time was scheduled
             # before the clock reached it, so its sequence number --
             # and with it, its turn -- precedes every immediate event.
-            if self._win_count:
-                head = self._head
-                if head is None:
-                    head = self._refresh_head()
-                if head[0] <= self._now:
-                    bucket = self._buckets[self._head_bucket]
-                    del bucket[0]
-                    self._win_count -= 1
-                    self._head = bucket[0] if bucket else None
-                    event = head[3]
-                    head = None
-                else:
-                    event = self._imm1.popleft()
+            future = self._future
+            if future and future[0][0] <= self.now:
+                event = _heappop(future)[2]
             else:
                 event = self._imm1.popleft()
-        elif self._win_count or self._overflow:
-            head = self._head
-            if head is None:
-                head = self._refresh_head()
-            if self._imm2 and head[0] > self._now:
+        elif self._future:
+            future = self._future
+            if self._imm2 and future[0][0] > self.now:
                 event = self._imm2.popleft()
             else:
-                self._now = head[0]
-                bucket = self._buckets[self._head_bucket]
-                del bucket[0]
-                self._win_count -= 1
-                self._head = bucket[0] if bucket else None
-                event = head[3]
-                head = None
+                self.now, _, event = _heappop(future)
         elif self._imm2:
             event = self._imm2.popleft()
         else:
@@ -980,23 +691,6 @@ class Environment:
             # An un-handled failure crashes the simulation, as it would in
             # SimPy: errors should never pass silently.
             raise event._value
-        if self._pooling:
-            # Recycle kernel-owned events that are provably unreferenced
-            # (the two counted references are this frame's local and the
-            # getrefcount argument itself).  Exact type checks keep
-            # subclasses -- which may carry extra state -- out of the
-            # free lists.
-            cls = type(event)
-            if cls is Timeout:
-                pool = self._timeout_pool
-                if len(pool) < _POOL_LIMIT and _getrefcount(event) == 2:
-                    event._value = None
-                    pool.append(event)
-            elif cls is Event:
-                pool = self._event_pool
-                if len(pool) < _POOL_LIMIT and _getrefcount(event) == 2:
-                    event._value = None
-                    pool.append(event)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -1017,13 +711,13 @@ class Environment:
             stop_event._add_callback(_halt)
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    f"until={horizon} lies in the past (now={self._now})")
+                    f"until={horizon} lies in the past (now={self.now})")
         try:
             step = self.step
             bounded = stop_event is None and until is not None
-            # The immediate deques are created once in __init__ and
+            # The calendar containers are created once in __init__ and
             # never replaced, so locals stay valid across steps.
             #
             # Dispatch stays a per-event *call* to :meth:`step` on
@@ -1036,14 +730,12 @@ class Environment:
             # profiler's instance-attribute wrapping of ``step``
             # effective.
             imm0, imm1, imm2 = self._imm0, self._imm1, self._imm2
+            future = self._future
             while self._size:
-                if bounded and not (imm0 or imm1 or imm2):
-                    head = self._head
-                    if head is None:
-                        head = self._refresh_head()
-                    if head[0] > horizon:
-                        self._now = horizon
-                        return None
+                if bounded and not (imm0 or imm1 or imm2) and \
+                        future[0][0] > horizon:
+                    self.now = horizon
+                    return None
                 step()
         except StopSimulation as stop:
             if stop_event is not None and stop.args and \
@@ -1056,5 +748,5 @@ class Environment:
             raise SimulationError(
                 "run(until=event) ended before the event fired")
         if until is not None and stop_event is None:
-            self._now = horizon
+            self.now = horizon
         return None

@@ -1,13 +1,19 @@
-"""Ordering edge cases of the calendar-queue event core.
+"""Ordering edge cases of the event calendar.
 
-The calendar replaced the binary heap; these tests pin the corners of
-the ``(time, priority, seq)`` total order the structure must preserve:
-same-time interrupt pre-emption, FIFO stability inside one bucket, the
-run-horizon boundary landing exactly on a bucket edge, promotion out of
-the far-future overflow band, and the empty-calendar stop signal.
+The calendar is two bands -- immediate FIFO deques per priority and one
+binary heap of future entries -- that together must realise the total
+order ``(time, priority, seq)``.  The hand-written tests pin its
+corners: same-time interrupt pre-emption, FIFO stability among equal
+timestamps, time ordering of distinct timestamps, the run-horizon
+boundary landing exactly on an event time, and the empty-calendar stop
+signal.  The property test drives random mixes of every scheduling path
+against a brute-force reference scheduler that scans its pending list
+for the minimum ``(time, priority, seq)`` key at every step.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, StopSimulation
 
@@ -43,7 +49,7 @@ def test_same_time_interrupt_preempts_normal_event():
 
 
 def test_fifo_seq_stability_within_a_bucket():
-    """Equal-time entries in one bucket fire in scheduling order."""
+    """Equal-time future entries fire in scheduling order."""
     env = Environment()
     fired = []
 
@@ -58,7 +64,7 @@ def test_fifo_seq_stability_within_a_bucket():
 
 
 def test_distinct_times_in_one_bucket_sort_by_time():
-    """A bucket holding several timestamps drains them time-ordered."""
+    """Future entries scheduled out of time order drain time-ordered."""
     env = Environment()
     fired = []
 
@@ -66,8 +72,6 @@ def test_distinct_times_in_one_bucket_sort_by_time():
         yield env.timeout(delay)
         fired.append(env.now)
 
-    # First enqueue calibrates bucket width to 100.0, so every one of
-    # these near-term events lands in the same (head) bucket.
     env.process(waiter(env, 100.0))
     for delay in (7.0, 3.0, 5.0, 1.0, 9.0):
         env.process(waiter(env, delay))
@@ -85,8 +89,6 @@ def test_run_horizon_exactly_on_bucket_edge():
         yield env.timeout(delay)
         fired.append(env.now)
 
-    # Calibration makes the bucket width 1.0 with t0 = 0, so both event
-    # times sit exactly on bucket edges.
     env.process(waiter(env, 1.0))
     env.process(waiter(env, 2.0))
     env.run(until=1.0)
@@ -95,31 +97,6 @@ def test_run_horizon_exactly_on_bucket_edge():
     env.run(until=2.0)
     assert fired == [1.0, 2.0]
     assert env.now == 2.0
-
-
-def test_overflow_band_promotion():
-    """Events beyond the calendar window surface via the overflow heap
-    in the correct order once the window drains up to them."""
-    env = Environment()
-    fired = []
-
-    # Width calibrates to 0.01 -> the initial window spans ~2.56 time
-    # units; everything later must take the overflow path.
-    timeouts = [env.timeout(delay)
-                for delay in (0.01, 5000.0, 40.0, 1000.0, 41.0)]
-    assert env.calendar_stats()["overflow"] == 4
-
-    def waiter(env, event):
-        yield event
-        fired.append(env.now)
-
-    for event in timeouts:
-        env.process(waiter(env, event))
-    env.run()
-    assert fired == [0.01, 40.0, 41.0, 1000.0, 5000.0]
-    stats = env.calendar_stats()
-    assert stats["depth"] == 0
-    assert stats["overflow"] == 0
 
 
 def test_empty_calendar_step_raises_stop_simulation():
@@ -131,33 +108,6 @@ def test_empty_calendar_step_raises_stop_simulation():
     assert env.now == 0.0
 
 
-def test_pooled_and_unpooled_runs_are_identical():
-    """Event pooling must not change order, times or values."""
-
-    def workload(env, log):
-        def producer(env):
-            for i in range(50):
-                yield env.timeout(0.3)
-                log.append(("tick", env.now, i))
-
-        def churner(env):
-            for i in range(80):
-                yield env.timeout(0.17)
-                event = env.event()
-                event.succeed(i)
-                value = yield event
-                log.append(("churn", env.now, value))
-
-        env.process(producer(env))
-        env.process(churner(env))
-        env.run(until=14.0)
-
-    plain, pooled = [], []
-    workload(Environment(event_pooling=False), plain)
-    workload(Environment(event_pooling=True), pooled)
-    assert plain == pooled
-
-
 def test_calendar_stats_shape():
     env = Environment()
 
@@ -166,70 +116,204 @@ def test_calendar_stats_shape():
 
     env.process(waiter(env))
     stats = env.calendar_stats()
-    assert stats["depth"] == env.calendar_depth == 1
-    assert stats["immediate"] == 1  # the process-init event
-    env.run(until=0.5)  # start the process; its timeout enters the window
-    stats = env.calendar_stats()
-    assert stats["depth"] == 1
-    assert stats["window"] == 1
-    assert stats["buckets"] >= 1
-    assert stats["max_bucket_occupancy"] == 1
-    assert stats["rebuilds"] == 0
+    assert stats == {"depth": 1, "immediate": 1, "future": 0}
+    assert env.calendar_depth == 1
+    env.run(until=0.5)  # start the process; its timeout is now future
+    assert env.calendar_stats() == {"depth": 1, "immediate": 0,
+                                    "future": 1}
 
 
-def test_unsplittable_cluster_does_not_rebuild_forever():
-    """A same-timestamp cluster wider than the split floor must not
-    trigger a rebuild storm.
+# -- differential test against a brute-force reference ----------------------
 
-    Re-spreading targets one entry per bucket, but entries sharing one
-    timestamp always land together: when such a cluster alone exceeds
-    the split floor (thousands of retry timers armed with an identical
-    deadline during an outage), a rebuild reproduces the exact same
-    layout -- retrying it made ``_refresh_head`` loop forever.  The
-    futility guard must serve the cluster instead, in seq (FIFO) order.
+#: Delays of the generated timeouts: zero, sub-ulp (a real delay at
+#: time 0, but ``now + delay == now`` at any later reading), dyadic
+#: values whose sums stay exact (so timestamps collide), and far-future.
+DELAYS = [0.0, 5e-324, 1e-300, 0.25, 0.5, 1.0, 2.0, 1e9]
+#: Horizon offsets for ``run(until=now + h)``: dyadic, so horizons land
+#: exactly on event times.
+HORIZONS = [0.0, 0.25, 0.5, 1.0, 1.75, 3.0]
+ACTORS = 5
+
+_op = st.one_of(
+    st.tuples(st.just("sleep"), st.sampled_from(DELAYS)),
+    st.tuples(st.just("signal"), st.integers(1, 3)),
+    st.tuples(st.just("interrupt"), st.integers(0, ACTORS - 1)),
+)
+_action = st.one_of(
+    st.tuples(st.just("start"), st.integers(0, ACTORS - 1)),
+    st.tuples(st.just("interrupt"), st.integers(0, ACTORS - 1)),
+    st.tuples(st.just("run"), st.sampled_from(HORIZONS)),
+)
+_scenario = st.tuples(
+    st.lists(st.lists(_op, max_size=8), min_size=ACTORS, max_size=ACTORS),
+    st.lists(st.integers(0, ACTORS - 1), max_size=ACTORS),
+    st.lists(_action, max_size=12),
+)
+
+
+class _Reference:
+    """Brute-force scheduler with the kernel's semantics.
+
+    Pending entries are ``(time, priority, seq, action)``; each step
+    dispatches the minimum by a linear scan.  Actors mirror
+    :func:`_actor`: a resume runs ops up to the next wait, an interrupt
+    ends the actor, and a finished actor's completion event is a no-op
+    dispatch (as are stale wake-ups of a dead actor).
     """
+
+    def __init__(self, scripts):
+        # A signal chain of n links is n waits on an immediate event.
+        self.scripts = [
+            [(kind, arg, k) for k, (kind, arg) in enumerate(script)
+             for _ in range(arg if kind == "signal" else 1)]
+            for script in scripts]
+        self.now = 0.0
+        self.seq = 0
+        self.pending = []
+        self.peak = 0
+        self.times = []
+        self.log = []
+        self.started = set()
+        self.alive = set()
+        self.position = {}
+
+    def push(self, delay, priority, action):
+        self.seq += 1
+        time = max(self.now + delay, self.now)
+        self.pending.append((time, priority, self.seq, action))
+        self.peak = max(self.peak, len(self.pending))
+
+    def step(self):
+        entry = min(self.pending)
+        self.pending.remove(entry)
+        self.now = entry[0]
+        self.times.append(self.now)
+        entry[3]()
+
+    def run(self, until=None):
+        while self.pending:
+            if until is not None and min(self.pending)[0] > until:
+                break
+            self.step()
+        if until is not None:
+            self.now = until
+
+    def start(self, i):
+        self.alive.add(i)
+        self.position[i] = 0
+        self.push(0.0, 1, lambda: self.resume(i))
+
+    def interrupt(self, j):
+        priority = 0 if j in self.started else 2
+        self.push(0.0, priority, lambda: self.resume(j, interrupted=True))
+
+    def resume(self, i, interrupted=False):
+        if i not in self.alive:
+            return
+        self.started.add(i)
+        dispatched = len(self.times)
+        script = self.scripts[i]
+        while not interrupted and self.position[i] < len(script):
+            kind, arg, k = script[self.position[i]]
+            self.position[i] += 1
+            self.log.append((dispatched, self.now, i, k))
+            if kind == "sleep":
+                self.push(arg, 1, lambda: self.resume(i))
+                return
+            if kind == "signal":
+                self.push(0.0, 1, lambda: self.resume(i))
+                return
+            if arg != i and arg in self.alive:
+                self.interrupt(arg)
+        self.log.append((dispatched, self.now, i,
+                         "interrupted" if interrupted else "done"))
+        # The finished process is itself an event: it consumes a
+        # sequence number and one (callback-free) dispatch.
+        self.alive.discard(i)
+        self.push(0.0, 1, lambda: None)
+
+
+def _actor(env, i, script, procs, log):
+    """Run ``script``; an interrupt ends the actor.
+
+    Ending at an interrupt is what every protocol process does.  A
+    process that survived one would still be woken by the event it was
+    waiting on, which the kernel does not detach.
+    """
+    try:
+        for k, (kind, arg) in enumerate(script):
+            if kind == "sleep":
+                log.append((env.events_processed, env.now, i, k))
+                yield env.timeout(arg)
+            elif kind == "signal":
+                for link in range(arg):
+                    log.append((env.events_processed, env.now, i, k))
+                    event = env.event()
+                    event.succeed(link)
+                    assert (yield event) == link
+            else:
+                log.append((env.events_processed, env.now, i, k))
+                target = procs.get(arg)
+                if arg != i and target is not None and target.is_alive:
+                    target.interrupt(k)
+        log.append((env.events_processed, env.now, i, "done"))
+    except Interrupt:
+        log.append((env.events_processed, env.now, i, "interrupted"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenario)
+def test_dispatch_order_matches_brute_force_reference(scenario):
+    scripts, initial, actions = scenario
     env = Environment()
-    fired = []
+    ref = _Reference(scripts)
+    procs, log, times = {}, [], []
+    kernel_step = env.step
 
-    def sleeper(env, i, delay):
-        yield env.timeout(delay)
-        fired.append((env.now, i))
+    def checked_step():
+        # peek() and next_event() must name exactly what step() does.
+        expected_time = env.peek()
+        head = env.next_event()
+        assert head is not None and head.callbacks is not None
+        kernel_step()
+        assert head.callbacks is None
+        assert env.now == expected_time
+        times.append(env.now)
 
-    # 600 timers sharing one deadline (far beyond the split floor of
-    # one bucket) plus a handful of spread entries so the window span
-    # is nonzero and the cluster stays narrower than span/count.
-    for i in range(600):
-        env.process(sleeper(env, i, 10.0))
-    for j in range(10):
-        env.process(sleeper(env, 600 + j, 12.0 + 5.0 * j))
+    env.step = checked_step
+
+    def start(i):
+        if i in procs:
+            return
+        procs[i] = env.process(_actor(env, i, scripts[i], procs, log))
+        ref.start(i)
+
+    for i in initial:
+        start(i)
+    for kind, arg in actions:
+        if kind == "start":
+            start(arg)
+        elif kind == "interrupt":
+            if arg in procs:
+                assert procs[arg].is_alive == (arg in ref.alive)
+                if procs[arg].is_alive:
+                    procs[arg].interrupt("outside")
+                    ref.interrupt(arg)
+        else:
+            until = env.now + arg
+            env.run(until=until)
+            ref.run(until=until)
+            assert env.now == ref.now == until
     env.run()
+    ref.run()
 
-    assert len(fired) == 610
-    cluster = [i for now, i in fired if now == 10.0]
-    assert cluster == list(range(600))  # FIFO within the shared time
-    assert fired == sorted(fired, key=lambda pair: pair[0])
-
-
-def test_cluster_rebuild_guard_keeps_pooled_run_identical():
-    """The futility guard must not change order with pooling on."""
-
-    def workload(env, log):
-        def burst(env, i):
-            yield env.timeout(5.0)
-            log.append(("burst", env.now, i))
-
-        def spread(env, j):
-            yield env.timeout(6.0 + 3.0 * j)
-            log.append(("spread", env.now, j))
-
-        for i in range(200):
-            env.process(burst(env, i))
-        for j in range(8):
-            env.process(spread(env, j))
-        env.run()
-
-    from repro.sim import Environment as Env
-    plain, pooled = [], []
-    workload(Env(event_pooling=False), plain)
-    workload(Env(event_pooling=True), pooled)
-    assert plain == pooled
+    # Unlabelled dispatches (process start-ups and completions, stale
+    # wake-ups) are pinned too: every log line carries the dispatch
+    # count, and every dispatch its clock reading.
+    assert log == ref.log
+    assert times == ref.times
+    assert env.now == ref.now
+    assert env.events_scheduled == ref.seq
+    assert env.events_processed == len(ref.times)
+    assert env.calendar_depth == 0
+    assert env.heap_peak == ref.peak
