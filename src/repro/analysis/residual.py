@@ -86,14 +86,17 @@ def probability_local_outlives(local_run_time: float,
             if auth_delay < local_run_time else 0.0
     total = 0.0
     t_c = central_run_time
+    t_c2 = t_c * t_c
     step = t_c / samples
     for i in range(samples):
         x = (i + 0.5) * step
-        density = 2.0 * (t_c - x) / (t_c * t_c)
+        density = 2.0 * (t_c - x) / t_c2
         threshold = x + auth_delay
         if threshold >= local_run_time:
-            p_outlive = 0.0
-        else:
-            p_outlive = 1.0 - threshold / local_run_time
-        total += density * p_outlive * step
+            # The threshold never decreases, so this term and every
+            # later one is ``density * 0.0 * step``: a signed zero (or a
+            # NaN this first one carries) that adds nothing after it.
+            total += density * 0.0 * step
+            break
+        total += density * (1.0 - threshold / local_run_time) * step
     return min(max(total, 0.0), 1.0)

@@ -4,9 +4,9 @@ Two complementary views of where a run's wall-clock goes:
 
 * :class:`EngineProfiler` wraps the kernel's dispatch step and
   attributes the elapsed time of every event pop to the *kind* of event
-  dispatched (timeouts, resource grants, process resumptions by
-  normalised process name), while sampling calendar depth and churn.
-  It answers "which simulated activity is expensive?".
+  dispatched (timeouts, timer hops, resource grants, process
+  resumptions by normalised process name), while sampling calendar
+  depth and churn.  It answers "which simulated activity is expensive?".
 * :func:`hot_path_profile` runs a callable under the deterministic
   ``cProfile`` tracer and reports the hottest *functions* by cumulative
   time.  It answers "which Python code is expensive?" -- the concrete
@@ -29,7 +29,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
-from ..sim.engine import Environment, Process, Timeout
+from ..sim.engine import Environment, Process, Timeout, Timer
 
 __all__ = ["EngineProfiler", "EventTypeStat", "hot_path_profile",
            "HotPath"]
@@ -42,6 +42,12 @@ _DIGITS = re.compile(r"\d+")
 def _classify(event) -> str:
     if isinstance(event, Process):
         return f"process:{_DIGITS.sub('#', event.name)}"
+    # A timer's start hop and sleeps are plain events whose one callback
+    # is the timer's; its completion is the Timer itself.
+    callbacks = event.callbacks
+    if isinstance(event, Timer) or (callbacks and isinstance(
+            getattr(callbacks[0], "__self__", None), Timer)):
+        return "timer"
     if isinstance(event, Timeout):
         return "timeout"
     return type(event).__name__.lower()

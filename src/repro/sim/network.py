@@ -32,6 +32,7 @@ Two extensions support the fault-injection subsystem
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from .engine import Environment
@@ -47,7 +48,7 @@ __all__ = ["Link", "Message", "DuplexChannel", "ReliableEndpoint",
 ACK_KIND = "chan-ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An envelope carried over a :class:`Link`.
 
@@ -103,6 +104,9 @@ class Link:
         self._jitter = 0.0
         self._delay_factor = 1.0
         self._rng: "random.Random | None" = None
+        #: True while :meth:`set_fault` has left the link lossy, jittered
+        #: or slowed (kept current by :meth:`set_fault`/:meth:`clear_fault`).
+        self.degraded = False
         #: Optional observer invoked with each dropped message.
         self.on_drop: Callable[[Message], None] | None = None
 
@@ -131,6 +135,8 @@ class Link:
         self._jitter = jitter
         self._delay_factor = delay_factor
         self._rng = rng
+        self.degraded = (drop_probability > 0.0 or jitter > 0.0 or
+                         delay_factor != 1.0)
 
     def clear_fault(self) -> None:
         """Restore the healthy constant-delay, loss-free behaviour."""
@@ -138,11 +144,7 @@ class Link:
         self._jitter = 0.0
         self._delay_factor = 1.0
         self._rng = None
-
-    @property
-    def degraded(self) -> bool:
-        return (self._drop_probability > 0.0 or self._jitter > 0.0 or
-                self._delay_factor != 1.0)
+        self.degraded = False
 
     # -- transmission --------------------------------------------------------
 
@@ -173,14 +175,7 @@ class Link:
                 delay += self._rng.uniform(0.0, self._jitter)
         message.sequence = self._next_seq
         self._next_seq += 1
-        self.env.process(self._deliver(message, on_delivery, delay),
-                         name=f"{self.name}:deliver")
-
-    def _deliver(self, message: Message,
-                 on_delivery: Callable[[Message], None] | None,
-                 delay: float):
-        yield self.env.timeout(delay)
-        self._arrive(message, on_delivery)
+        self.env.timer(delay, partial(self._arrive, message, on_delivery))
 
     def _arrive(self, message: Message,
                 on_delivery: Callable[[Message], None] | None) -> None:
@@ -268,8 +263,9 @@ class ReliableEndpoint:
         self.on_retransmit = on_retransmit
         self.on_duplicate = on_duplicate
         self._next_seq = 0
-        #: Unacknowledged sends: rel_seq -> (kind, payload, source).
-        self._unacked: dict[int, tuple[str, Any, Any]] = {}
+        #: Unacknowledged sends, in ``rel_seq`` order: rel_seq ->
+        #: (kind, payload, source, current retransmission timeout).
+        self._unacked: dict[int, tuple[str, Any, Any, float]] = {}
         self._recv_delivered = -1
         self._holdback: dict[int, Message] = {}
         self.incarnation = 0
@@ -286,32 +282,37 @@ class ReliableEndpoint:
         self._next_seq += 1
         message.rel_seq = seq
         message.rel_inc = self.incarnation
-        self._unacked[seq] = (message.kind, message.payload, message.source)
+        self._unacked[seq] = (message.kind, message.payload, message.source,
+                              self.timeout)
         self.out_link.send(message)
-        self.env.process(self._watch(seq, self.incarnation),
-                         name=f"{self.name}:retransmit-{seq}")
+        self.env.timer(self.timeout,
+                       partial(self._retransmit, seq, self.incarnation))
 
-    def _watch(self, seq: int, incarnation: int):
-        """Retransmission timer for one message (exponential backoff)."""
-        delay = self.timeout
-        while True:
-            yield self.env.timeout(delay)
-            if incarnation != self.incarnation:
-                return
-            entry = self._unacked.get(seq)
-            if entry is None:
-                return
-            kind, payload, source = entry
-            # A fresh Message each resend: the link stamps per-transmission
-            # state (sequence, sent_at) on the envelope, so reusing the
-            # original object would alias in-flight deliveries.
-            resend = Message(kind=kind, payload=payload, source=source,
-                             rel_seq=seq, rel_inc=incarnation)
-            self.retransmits += 1
-            if self.on_retransmit is not None:
-                self.on_retransmit(resend)
-            self.out_link.send(resend)
-            delay = min(delay * self.backoff, self.max_timeout)
+    def _retransmit(self, seq: int, incarnation: int) -> float | None:
+        """Retransmission timer action for one message.
+
+        Resends the frame and returns the next, backed-off delay; returns
+        ``None`` (ending the timer) once the frame is acknowledged,
+        abandoned or belongs to a previous incarnation.
+        """
+        if incarnation != self.incarnation:
+            return None
+        entry = self._unacked.get(seq)
+        if entry is None:
+            return None
+        kind, payload, source, delay = entry
+        delay = min(delay * self.backoff, self.max_timeout)
+        self._unacked[seq] = (kind, payload, source, delay)
+        # A fresh Message each resend: the link stamps per-transmission
+        # state (sequence, sent_at) on the envelope, so reusing the
+        # original object would alias in-flight deliveries.
+        resend = Message(kind=kind, payload=payload, source=source,
+                         rel_seq=seq, rel_inc=incarnation)
+        self.retransmits += 1
+        if self.on_retransmit is not None:
+            self.on_retransmit(resend)
+        self.out_link.send(resend)
+        return delay
 
     @property
     def unacked(self) -> int:
@@ -324,7 +325,7 @@ class ReliableEndpoint:
         Used at failover: once a site re-points at the standby it will
         never talk to the dead primary again, so retransmitting to it
         forever is pure noise.  Retransmission timers see the empty
-        table and exit at their next firing.
+        table and end at their next firing.
         """
         self._unacked.clear()
 
@@ -359,9 +360,15 @@ class ReliableEndpoint:
             if message.rel_inc != self.incarnation:
                 self.stale_frames += 1
                 return []
+            # Keys are inserted in rel_seq order, so the acknowledged
+            # frames are exactly a prefix of the table.
             acked_through = message.payload
-            for seq in [s for s in self._unacked if s <= acked_through]:
-                del self._unacked[seq]
+            unacked = self._unacked
+            while unacked:
+                seq = next(iter(unacked))
+                if seq > acked_through:
+                    break
+                del unacked[seq]
             return []
         seq = message.rel_seq
         if seq is None:

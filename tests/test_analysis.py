@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -197,6 +197,52 @@ def test_probability_local_outlives_zero_central():
 def test_probability_local_outlives_is_probability(t_l, t_c, delay):
     p = probability_local_outlives(t_l, t_c, delay)
     assert 0.0 <= p <= 1.0
+
+
+def _full_integration_loop(local_run_time, central_run_time, auth_delay,
+                           samples=64):
+    """The integration loop of ``probability_local_outlives`` before it
+    stopped at the first zero term, kept verbatim as the reference."""
+    total = 0.0
+    t_c = central_run_time
+    step = t_c / samples
+    for i in range(samples):
+        x = (i + 0.5) * step
+        density = 2.0 * (t_c - x) / (t_c * t_c)
+        threshold = x + auth_delay
+        if threshold >= local_run_time:
+            p_outlive = 0.0
+        else:
+            p_outlive = 1.0 - threshold / local_run_time
+        total += density * p_outlive * step
+    return min(max(total, 0.0), 1.0)
+
+
+def _outcome(function, *args):
+    """Bit pattern of the result (NaNs alike), or the exception type."""
+    try:
+        value = function(*args)
+    except ArithmeticError as error:
+        return type(error)
+    if math.isnan(value):
+        return "nan"
+    return math.copysign(1.0, value), value
+
+
+_times = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.sampled_from([0.0, 1e-170, 1e-150, 0.1, 0.2, 1.0, 1e150, 1e308,
+                     math.inf]),
+)
+
+
+@settings(max_examples=2000)
+@given(_times.filter(lambda t: t > 0), _times.filter(lambda t: t > 0),
+       _times)
+def test_probability_local_outlives_matches_full_loop(t_l, t_c, delay):
+    assert _outcome(probability_local_outlives, t_l, t_c, delay) == \
+        _outcome(_full_integration_loop, t_l, t_c, delay)
 
 
 @given(st.floats(min_value=0.1, max_value=10, allow_nan=False),

@@ -54,6 +54,18 @@ class TestEngineProfiler:
         # Both instances aggregate into the one normalised kind.
         assert not any("1934" in kind for kind in kinds)
 
+    def test_timer_dispatches_get_their_own_label(self):
+        env = Environment()
+        ticks = iter([1.0, 1.0, None])
+        env.timer(1.0, lambda: next(ticks))
+        env.timeout(2.5)
+        profiler = EngineProfiler(env)
+        env.run()
+        # Start hop, three sleeps and the completion; the bare timeout
+        # keeps its own label.
+        assert profiler.by_type["timer"].count == 5
+        assert profiler.by_type["timeout"].count == 1
+
     def test_double_attach_rejected(self):
         env = Environment()
         profiler = EngineProfiler(env)

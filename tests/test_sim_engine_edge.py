@@ -189,6 +189,79 @@ def test_double_interrupt_delivers_both():
     assert hits == ["first", "second"]
 
 
+def test_survived_interrupt_is_not_woken_by_the_abandoned_event():
+    """Interrupted at t=5 out of timeout(100), the victim then sleeps
+    200: it must wake at 205, not when the old timeout fires at 100."""
+    env = Environment()
+    woke = []
+
+    def victim(env):
+        try:
+            yield env.timeout(100)
+        except Interrupt:
+            pass
+        yield env.timeout(200)
+        woke.append(env.now)
+
+    def attacker(env, target):
+        yield env.timeout(5)
+        target.interrupt()
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    env.run()
+    assert woke == [205]
+
+
+def test_same_time_double_interrupt_detaches_each_wait_once():
+    """Two interrupts queued at one instant: the first detaches the
+    original wait, the second the wait its handler started."""
+    env = Environment()
+    hits = []
+
+    def victim(env):
+        for _ in range(3):
+            try:
+                yield env.timeout(100)
+                hits.append(("slept", env.now))
+            except Interrupt as interrupt:
+                hits.append((interrupt.cause, env.now))
+
+    def attacker(env, target):
+        yield env.timeout(1)
+        target.interrupt("first")
+        target.interrupt("second")
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    env.run()
+    assert hits == [("first", 1), ("second", 1), ("slept", 101)]
+
+
+def test_abandoned_event_failing_later_is_not_defused_by_its_victim():
+    """Once an interrupt detaches the victim, a later failure of the
+    event it was waiting on is unhandled like any other."""
+    env = Environment()
+    abandoned = env.event()
+
+    def victim(env):
+        try:
+            yield abandoned
+        except Interrupt:
+            return
+
+    def attacker(env, target):
+        yield env.timeout(1)
+        target.interrupt()
+        yield env.timeout(1)
+        abandoned.fail(RuntimeError("nobody is listening"))
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    with pytest.raises(RuntimeError, match="nobody is listening"):
+        env.run()
+
+
 def test_store_get_then_cancelish_pattern():
     """A consumer abandoning a get() must not steal later items."""
     env = Environment()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import engine
 from repro.sim.engine import Environment
 from repro.sim.network import ACK_KIND, Link, Message, ReliableEndpoint
 
@@ -38,6 +39,22 @@ def test_set_fault_rejects_bad_parameters():
         link.set_fault(drop_probability=0.5)
     with pytest.raises(ValueError):
         link.set_fault(jitter=0.1)
+
+
+def test_degraded_follows_set_fault_and_clear_fault():
+    link = Link(Environment(), 0.2)
+    assert not link.degraded
+    for fault in ({"drop_probability": 0.5, "rng": ScriptedRng()},
+                  {"jitter": 0.1, "rng": ScriptedRng()},
+                  {"delay_factor": 3.0},
+                  {"drop_probability": 1.0}):
+        link.set_fault(**fault)
+        assert link.degraded, fault
+        link.clear_fault()
+        assert not link.degraded
+    # A no-op fault leaves the link healthy.
+    link.set_fault()
+    assert not link.degraded
 
 
 def test_clear_fault_restores_constant_delay():
@@ -260,3 +277,98 @@ def test_cumulative_ack_retires_all_earlier_sends():
     assert endpoint.unacked == 1
     endpoint.pump(Message(kind=ACK_KIND, payload=3))
     assert endpoint.unacked == 0
+
+
+def _acked(endpoint):
+    return list(endpoint._unacked)
+
+
+def test_cumulative_ack_retires_exactly_the_acked_prefix():
+    env = Environment()
+    endpoint = ReliableEndpoint(env, Link(env, 0.1), name="x",
+                                timeout=10.0, max_timeout=10.0)
+    for index in range(6):
+        endpoint.send(Message(kind="app", payload=index))
+    endpoint.pump(Message(kind=ACK_KIND, payload=2))
+    assert _acked(endpoint) == [3, 4, 5]
+    # A stale, lower cumulative ack retires nothing more.
+    endpoint.pump(Message(kind=ACK_KIND, payload=1))
+    assert _acked(endpoint) == [3, 4, 5]
+    endpoint.pump(Message(kind=ACK_KIND, payload=4))
+    assert _acked(endpoint) == [5]
+
+
+def test_ack_prefix_holds_across_retransmissions():
+    env = Environment()
+    link = Link(env, 0.1)
+    link.set_fault(drop_probability=1.0)
+    endpoint = ReliableEndpoint(env, link, name="x", timeout=0.5,
+                                max_timeout=1.0)
+    for index in range(4):
+        endpoint.send(Message(kind="app", payload=index))
+    env.run(until=3.0)
+    assert endpoint.retransmits >= 8
+    endpoint.pump(Message(kind=ACK_KIND, payload=1))
+    assert _acked(endpoint) == [2, 3]
+    resent = endpoint.retransmits
+    env.run(until=6.0)
+    # Only the two frames still unacked keep retransmitting.
+    assert endpoint.retransmits > resent
+    assert (endpoint.retransmits - resent) % 2 == 0
+    endpoint.pump(Message(kind=ACK_KIND, payload=3))
+    assert _acked(endpoint) == []
+    # Every retransmission timer ends at its next firing.
+    env.run(until=20.0)
+    assert env.calendar_depth == 0
+
+
+def test_ack_prefix_after_abandon_and_reset():
+    env = Environment()
+    endpoint = ReliableEndpoint(env, Link(env, 0.1), name="x",
+                                timeout=10.0, max_timeout=10.0)
+    for index in range(3):
+        endpoint.send(Message(kind="app", payload=index))
+    endpoint.abandon()
+    assert _acked(endpoint) == []
+    # The sequence space continues after abandon().
+    for index in range(3):
+        endpoint.send(Message(kind="app", payload=index))
+    assert _acked(endpoint) == [3, 4, 5]
+    endpoint.pump(Message(kind=ACK_KIND, payload=3))
+    assert _acked(endpoint) == [4, 5]
+    # reset() restarts at zero; acks of the old incarnation are stale.
+    endpoint.reset(1)
+    for index in range(3):
+        endpoint.send(Message(kind="app", payload=index))
+    assert _acked(endpoint) == [0, 1, 2]
+    endpoint.pump(Message(kind=ACK_KIND, payload=2, rel_inc=0))
+    assert _acked(endpoint) == [0, 1, 2]
+    assert endpoint.stale_frames == 1
+    endpoint.pump(Message(kind=ACK_KIND, payload=0, rel_inc=1))
+    assert _acked(endpoint) == [1, 2]
+
+
+def test_clean_exchange_creates_no_process_per_frame(monkeypatch):
+    constructed = []
+    init = engine.Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Process, "__init__", counting_init)
+    env = Environment()
+    a_to_b = Link(env, 0.1, name="a->b")
+    b_to_a = Link(env, 0.1, name="b->a")
+    sender = ReliableEndpoint(env, a_to_b, name="a", timeout=1.0)
+    receiver = ReliableEndpoint(env, b_to_a, name="b", timeout=1.0)
+    delivered = []
+    _drain(env, a_to_b, receiver, delivered)
+    _drain(env, b_to_a, sender, delivered)
+    for index in range(20):
+        sender.send(Message(kind="app", payload=index))
+    env.run(until=5.0)
+    assert [m.payload for m in delivered] == list(range(20))
+    assert a_to_b.messages_sent + b_to_a.messages_sent == 40
+    # The two drain loops are the only processes.
+    assert len(constructed) == 2
