@@ -62,30 +62,37 @@ class SiteBase:
         """
         if instructions <= 0:
             return
-        spans = None if txn is None else txn.spans
+        env = self.env
         grant = self.cpu.request()
+        if txn is None:
+            try:
+                yield grant
+                yield env.timeout(self.service_time(instructions))
+            finally:
+                grant.cancel()
+            return
+        spans = txn.spans
         try:
-            if spans is not None:
-                spans.enter(PHASE_CPU_WAIT, self.env.now)
+            spans.enter(PHASE_CPU_WAIT, env.now)
             yield grant
-            if spans is not None:
-                spans.enter(PHASE_CPU_SERVICE, self.env.now)
-            yield self.env.timeout(self.service_time(instructions))
+            spans.enter(PHASE_CPU_SERVICE, env.now)
+            yield env.timeout(self.service_time(instructions))
         finally:
             grant.cancel()
-        if spans is not None:
-            spans.exit(self.env.now)
+        spans.exit(env.now)
 
     def io_wait(self, seconds: float, txn: "Transaction | None" = None):
         """Process fragment: a synchronous I/O (CPU is not held)."""
         if seconds <= 0:
             return
-        spans = None if txn is None else txn.spans
-        if spans is not None:
-            spans.enter(PHASE_IO, self.env.now)
-        yield self.env.timeout(seconds)
-        if spans is not None:
-            spans.exit(self.env.now)
+        env = self.env
+        if txn is None:
+            yield env.timeout(seconds)
+            return
+        spans = txn.spans
+        spans.enter(PHASE_IO, env.now)
+        yield env.timeout(seconds)
+        spans.exit(env.now)
 
     def lock_wait(self, txn: "Transaction", reference: "Reference"):
         """Process fragment: acquire one lock, span-attributing the wait.
@@ -94,13 +101,15 @@ class SiteBase:
         event) when the transaction is chosen as a deadlock victim, with
         the elapsed wait still attributed to the ``lock-wait`` phase.
         """
+        env = self.env
+        spans = txn.spans
         grant = self.locks.acquire(txn.txn_id, reference.entity,
                                    reference.mode)
-        txn.spans.enter(PHASE_LOCK_WAIT, self.env.now)
+        spans.enter(PHASE_LOCK_WAIT, env.now)
         try:
             yield grant
         finally:
-            txn.spans.exit(self.env.now)
+            spans.exit(env.now)
         txn.locked_entities.append(reference.entity)
 
     @property

@@ -506,7 +506,7 @@ class MetricsCollector:
                 site=txn.home_site, txn_kind=txn.kind().value,
                 response=round(txn.response_time, 6),
                 phases={phase: round(seconds, 6) for phase, seconds
-                        in txn.spans.as_dict().items()})
+                        in zip(PHASES, txn.spans.totals)})
         if not self.measuring:
             return
         self._completed.inc()
@@ -516,10 +516,9 @@ class MetricsCollector:
         self.response_quantiles.add(response)
         self.response_by_class[txn.txn_class].add(response)
         self.response_by_kind[txn.kind()].add(response)
-        phase_totals = txn.spans.as_dict()
         by_class = self.phase_by_class[txn.txn_class]
         by_placement = self.phase_by_placement[txn.placement]
-        for phase, seconds in phase_totals.items():
+        for phase, seconds in zip(PHASES, txn.spans.totals):
             self.phase_stats[phase].add(seconds)
             by_class[phase].add(seconds)
             by_placement[phase].add(seconds)

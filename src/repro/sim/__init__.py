@@ -16,7 +16,7 @@ from .engine import (
     Timeout,
 )
 from .network import DuplexChannel, Link, Message
-from .resources import PriorityResource, Request, Resource, Store
+from .resources import Request, Resource, Store
 from .spans import PHASES, SpanRecorder
 from .rng import ExponentialSampler, RandomStreams, UniformIntSampler, \
     crn_seed
@@ -45,7 +45,6 @@ __all__ = [
     "DuplexChannel",
     "Link",
     "Message",
-    "PriorityResource",
     "Request",
     "Resource",
     "Store",

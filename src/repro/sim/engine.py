@@ -206,18 +206,26 @@ class Event:
 
     # -- internal ---------------------------------------------------------
 
-    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already processed: schedule an immediate wake-up that
-            # re-delivers this event (with its original identity and
-            # outcome) to the late subscriber.
-            mirror = self.env.event()
-            mirror.callbacks.append(lambda _mirror: callback(self))
-            mirror._ok = True
-            mirror._value = None
-            self.env._enqueue(mirror)
-        else:
+    def _add_callback(self, callback: Callable[["Event"], None]) -> "Event":
+        """Subscribe ``callback``; return the event it is subscribed to.
+
+        An event not yet processed takes the callback itself.  An
+        already processed one is re-delivered through an immediate
+        mirror event that carries its outcome and calls ``callback``
+        with the mirror.  The mirror is pre-defused (the outcome was
+        handled when this event was processed), and it is what the
+        subscriber must detach from to cancel the wake-up.
+        """
+        if self.callbacks is not None:
             self.callbacks.append(callback)
+            return self
+        mirror = self.env.event()
+        mirror._ok = self._ok
+        mirror._value = self._value
+        mirror._defused = True
+        mirror.callbacks.append(callback)
+        self.env._enqueue(mirror)
+        return mirror
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else (
@@ -290,10 +298,13 @@ class Condition(Event):
             self.succeed(_ConditionValue())
             return
         for event in self._events:
-            # _add_callback is correct for every state: pending and
-            # triggered-but-scheduled events fire later; already-processed
-            # events are re-delivered via an immediate mirror event.
-            event._add_callback(self._check)
+            if event.callbacks is not None:
+                event.callbacks.append(self._check)
+            else:
+                # Already processed: re-delivered via a mirror event, so
+                # bind the constituent to keep its identity in the value.
+                event._add_callback(
+                    lambda _mirror, event=event: self._check(event))
 
     def _collect_value(self) -> _ConditionValue:
         value = _ConditionValue()
@@ -375,7 +386,11 @@ class Process(Event):
 
     @property
     def target(self) -> Event | None:
-        """The event this process is currently waiting for (if any)."""
+        """The event this process is currently waiting for (if any).
+
+        After yielding an already processed event, this is the mirror
+        event that re-delivers it (see :meth:`Event._add_callback`).
+        """
         return self._target
 
     @property
@@ -471,7 +486,9 @@ class Process(Event):
                 f"process {self.name!r} yielded a non-event: "
                 f"{next_event!r}") from None
         if callbacks is None:
-            next_event._add_callback(self._resume)
+            # Already processed: wait on (and be detachable from) the
+            # mirror event that re-delivers it.
+            self._target = next_event._add_callback(self._resume)
         else:
             callbacks.append(self._resume)
 

@@ -1,12 +1,10 @@
 """Shared resources for the DES kernel: servers, stores and mailboxes.
 
-Three primitives cover every queueing station in the hybrid system model:
+Two primitives cover every queueing station in the hybrid system model:
 
 * :class:`Resource` -- a multi-server FCFS resource with an explicit wait
   queue (models CPUs; the hybrid sites use capacity-1 resources since the
   paper's sites are single processors).
-* :class:`PriorityResource` -- the same, with numeric priorities (lower is
-  served first); used for giving commit processing precedence experiments.
 * :class:`Store` -- an unbounded FIFO store of items with blocking ``get``;
   used for message mailboxes between sites.
 
@@ -17,18 +15,12 @@ wait queue (used when a transaction waiting for the CPU is aborted).
 
 from __future__ import annotations
 
-import itertools
-from bisect import insort
 from collections import deque
-from operator import attrgetter
 from typing import Any
 
-from .engine import PENDING, Environment, Event, Interrupt, SimulationError
+from .engine import PENDING, Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store"]
-
-#: Queue order key, bound once for ``insort``.
-_REQUEST_KEY = attrgetter("_key")
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -42,25 +34,17 @@ class Request(Event):
         # released on exit
     """
 
-    __slots__ = ("resource", "priority", "_order", "_key")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         # Event.__init__, inlined: a request is made per CPU burst.
+        # Queueing it is up to :meth:`Resource.request`.
         self.env = resource.env
         self.callbacks = []
         self._value = PENDING
         self._ok = True
         self._defused = False
         self.resource = resource
-        self.priority = priority
-        self._order = next(resource._ticket)
-        self._key = (priority, self._order)
-        resource._enqueue_request(self)
-
-    # Sort key: priority first, then FIFO within a priority level.
-    @property
-    def key(self) -> tuple[float, int]:
-        return self._key
 
     def cancel(self) -> None:
         """Withdraw this request.
@@ -84,8 +68,9 @@ class Resource:
     The queue length (``len(resource.queue)``) plus the number of busy
     servers (``resource.count``) is exactly the "CPU queue length
     including any running jobs" statistic the paper's dynamic strategies
-    sample.  The queue is kept in grant order -- priority first, then
-    FIFO by ticket -- so a grant takes its head.
+    sample.  The queue is FIFO: a request is granted at once when a
+    server is free (the queue is then empty) and appended otherwise, and
+    a grant takes the head.
     """
 
     def __init__(self, env: Environment, capacity: int = 1):
@@ -94,21 +79,31 @@ class Resource:
         self.env = env
         self.capacity = capacity
         self.users: list[Request] = []
-        self.queue: list[Request] = []
+        self.queue: deque[Request] = deque()
         #: Total service grants over the resource's lifetime (plain int
         #: on the hot path; harvested into the metrics registry at
         #: run end).
         self.grants = 0
-        self._ticket = itertools.count()
         # Cumulative busy time bookkeeping for utilisation measurement.
         self._busy_integral = 0.0
         self._last_change = env.now
 
     # -- public API ---------------------------------------------------------
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Claim one server; the returned event fires when granted."""
-        return Request(self, priority)
+        request = Request(self)
+        now = self.env.now
+        users = self.users
+        self._busy_integral += len(users) * (now - self._last_change)
+        self._last_change = now
+        if len(users) < self.capacity:
+            users.append(request)
+            self.grants += 1
+            request.succeed()
+        else:
+            self.queue.append(request)
+        return request
 
     def release(self, request: Request) -> None:
         """Release a granted request (idempotent via :meth:`Request.cancel`)."""
@@ -150,46 +145,21 @@ class Resource:
         self._busy_integral += len(self.users) * (now - self._last_change)
         self._last_change = now
 
-    def _enqueue_request(self, request: Request) -> None:
-        now = self.env.now
-        self._busy_integral += len(self.users) * (now - self._last_change)
-        self._last_change = now
-        queue = self.queue
-        if queue and request._key < queue[-1]._key:
-            insort(queue, request, key=_REQUEST_KEY)
-        else:
-            queue.append(request)
-        self._grant_waiters()
-
     def _cancel(self, request: Request) -> None:
         now = self.env.now
         users = self.users
         self._busy_integral += len(users) * (now - self._last_change)
         self._last_change = now
+        queue = self.queue
         if request in users:
             users.remove(request)
-            self._grant_waiters()
-        elif request in self.queue:
-            self.queue.remove(request)
-
-    def _grant_waiters(self) -> None:
-        queue = self.queue
-        users = self.users
-        capacity = self.capacity
-        while queue and len(users) < capacity:
-            nxt = queue.pop(0)
-            users.append(nxt)
-            self.grants += 1
-            nxt.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose requests honour the ``priority`` argument.
-
-    Functionally identical to :class:`Resource` (priority ordering is
-    already implemented in the request key); this subclass exists to make
-    intent explicit at call sites.
-    """
+            while queue and len(users) < self.capacity:
+                nxt = queue.popleft()
+                users.append(nxt)
+                self.grants += 1
+                nxt.succeed()
+        elif request in queue:
+            queue.remove(request)
 
 
 class Store:

@@ -262,6 +262,34 @@ def test_abandoned_event_failing_later_is_not_defused_by_its_victim():
         env.run()
 
 
+def test_survived_interrupt_is_not_woken_by_a_processed_event():
+    """A process that yields an already processed event waits on the
+    mirror event re-delivering it; an interrupt at the same instant
+    detaches that mirror, so the victim's next sleep runs in full."""
+    env = Environment()
+    done = env.event()
+    done.succeed("old")
+    woke = []
+
+    def victim(env):
+        yield env.timeout(1)
+        try:
+            yield done  # processed at t=0
+        except Interrupt:
+            pass
+        value = yield env.timeout(200)
+        woke.append((env.now, value))
+
+    def attacker(env, target):
+        yield env.timeout(1)
+        target.interrupt()
+
+    target = env.process(victim(env))
+    env.process(attacker(env, target))
+    env.run()
+    assert woke == [(201, None)]
+
+
 def test_store_get_then_cancelish_pattern():
     """A consumer abandoning a get() must not steal later items."""
     env = Environment()

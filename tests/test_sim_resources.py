@@ -86,43 +86,15 @@ def test_resource_fifo_order():
     assert order == [0, 1, 2, 3, 4, 5]
 
 
-def test_priority_beats_fifo():
-    env = Environment()
-    cpu = Resource(env)
-    order = []
-
-    def holder(env):
-        with cpu.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def user(env, tag, prio, delay):
-        yield env.timeout(delay)
-        with cpu.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(user(env, "low", 5, 1))
-    env.process(user(env, "high", -5, 2))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_mixed_priorities_with_cancel_grant_in_priority_then_fifo_order():
+def test_cancelled_waiter_hands_its_turn_to_the_next_in_fifo_order():
     env = Environment()
     cpu = Resource(env)
     holder = cpu.request()
-    requests = {tag: cpu.request(priority=prio) for tag, prio in
-                [("a0", 0), ("b5", 5), ("c-1", -1), ("d0", 0),
-                 ("e5", 5), ("f-1", -1), ("g0", 0)]}
-    # The queue is kept in grant order at all times.
-    assert [request.key for request in cpu.queue] == \
-        sorted(request.key for request in cpu.queue)
-    requests["d0"].cancel()  # a queued request leaves the queue
-    requests["f-1"].cancel()
-    requests["f-1"].cancel()  # cancelling twice is harmless
+    requests = {tag: cpu.request() for tag in "abcdefg"}
+    assert list(cpu.queue) == list(requests.values())
+    requests["a"].cancel()  # the head leaves the queue
+    requests["d"].cancel()
+    requests["d"].cancel()  # cancelling twice is harmless
     granted = []
     cpu.release(holder)
     while cpu.users:
@@ -130,9 +102,9 @@ def test_mixed_priorities_with_cancel_grant_in_priority_then_fifo_order():
         granted.append(next(tag for tag, request in requests.items()
                             if request is user))
         cpu.release(user)
-    assert granted == ["c-1", "a0", "g0", "b5", "e5"]
+    assert granted == ["b", "c", "e", "f", "g"]
     assert not cpu.queue
-    assert all(not requests[tag].triggered for tag in ("d0", "f-1"))
+    assert all(not requests[tag].triggered for tag in "ad")
     assert cpu.grants == 6
 
 

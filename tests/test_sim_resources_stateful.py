@@ -21,10 +21,13 @@ class ResourceMachine(RuleBasedStateMachine):
         self.capacity = 2
         self.resource = Resource(self.env, capacity=self.capacity)
         self.outstanding = []  # requests we have not yet cancelled
+        self.created = []  # every request, in creation order
 
     @rule()
     def request(self):
-        self.outstanding.append(self.resource.request())
+        request = self.resource.request()
+        self.created.append(request)
+        self.outstanding.append(request)
         self.env.run()
 
     @rule(index=st.integers(min_value=0, max_value=100))
@@ -63,8 +66,10 @@ class ResourceMachine(RuleBasedStateMachine):
 
     @invariant()
     def queue_is_fifo_by_ticket(self):
-        tickets = [request._order for request in self.resource.queue]
-        assert tickets == sorted(tickets)
+        """Waiters are queued in the order they were created."""
+        queued = set(map(id, self.resource.queue))
+        assert list(self.resource.queue) == \
+            [request for request in self.created if id(request) in queued]
 
     @invariant()
     def queue_length_accounting(self):
