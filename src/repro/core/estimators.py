@@ -55,7 +55,7 @@ class ResponseEstimate:
     rho_central: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CaseEstimates:
     """The four response-time estimates a routing decision needs.
 

@@ -67,7 +67,7 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), MAX_PROBABILITY)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ContentionState:
     """Utilisations and per-lock-request contention probabilities.
 

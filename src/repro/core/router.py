@@ -27,7 +27,7 @@ __all__ = ["RoutingObservation", "Router", "RouterFactory", "AlwaysLocalRouter",
            "AlwaysShipRouter"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoutingObservation:
     """System state visible to a router at decision time.
 

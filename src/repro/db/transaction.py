@@ -77,7 +77,7 @@ class TransactionKind(enum.Enum):
     DISTRIBUTED_RERUN = "distributed-rerun"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reference:
     """One database call: lock ``entity`` in ``mode`` then do work."""
 

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
 from ..sim.engine import Environment, Interrupt
 from ..sim.rng import RandomStreams
 from .locks import LockMode
@@ -85,6 +83,25 @@ class WorkloadParams:
         if self.p_b_local is not None and \
                 not 0.0 <= self.p_b_local <= 1.0:
             raise ValueError(f"p_b_local out of range: {self.p_b_local}")
+        # A transaction locks locks_per_txn *distinct* entities, so each
+        # class that can arrive needs that many entities to draw from.
+        partition = self.lockspace // self.n_sites
+        if self.p_local > 0.0 and self.locks_per_txn > partition:
+            raise ValueError(
+                f"class A draws {self.locks_per_txn} distinct entities "
+                f"from a {partition}-entity site partition")
+        if self.p_local < 1.0:
+            if self.p_b_local == 1.0:
+                space, where = partition, "the home partition"
+            elif self.p_b_local == 0.0:
+                space = self.lockspace - partition
+                where = "outside the home partition"
+            else:
+                space, where = self.lockspace, "the lock space"
+            if self.locks_per_txn > space:
+                raise ValueError(
+                    f"class B draws {self.locks_per_txn} distinct "
+                    f"entities from {space} in {where}")
 
     @property
     def expected_remote_calls(self) -> float:
@@ -149,44 +166,51 @@ class LockSpacePartition:
 
 
 class TransactionFactory:
-    """Draws transactions (class, reference string) for one site."""
+    """Draws transactions (class, reference string) for every site.
+
+    One factory serves the whole system: all sites share its id counter
+    and its two streams, ``txn-class`` and ``txn-references``, which it
+    draws through exact :class:`~repro.sim.rng.StreamReplay` buffers
+    (the same draws as the streams' ``Generator`` would give).
+    """
 
     def __init__(self, params: WorkloadParams, streams: RandomStreams):
         self.params = params
         self.partition = LockSpacePartition(params.lockspace, params.n_sites)
         self._ids = new_transaction_ids()
-        self._class_rng = streams.stream("txn-class")
-        self._ref_rng = streams.stream("txn-references")
+        self._class_rng = streams.replay("txn-class")
+        self._ref_rng = streams.replay("txn-references")
 
-    def _draw_entities(self, low: int, high: int, count: int) -> np.ndarray:
+    def _draw_entities(self, low: int, high: int, count: int) -> list[int]:
         """Distinct uniform entities from ``[low, high)``.
 
         Sampling without replacement: a transaction locks each entity at
-        most once (duplicate draws are re-drawn; with 3K+ entity ranges
-        collisions are rare, so the retry loop terminates fast).
+        most once.  ``count`` draws come first; a duplicate is then
+        re-drawn in position order (with 3K+ entity ranges collisions
+        are rare, so the retry loop terminates fast).
         """
         span = high - low
         if count > span:
             raise ValueError(f"cannot draw {count} distinct from {span}")
-        chosen = self._ref_rng.integers(low, high, size=count)
+        chosen = self._ref_rng.integers(low, high, count)
         seen = set()
         result = []
-        for entity in chosen:
-            value = int(entity)
+        for value in chosen:
             while value in seen:
-                value = int(self._ref_rng.integers(low, high))
+                value = self._ref_rng.integers(low, high)
             seen.add(value)
             result.append(value)
-        return np.array(result, dtype=np.int64)
+        return result
 
     def _draw_modes(self, count: int) -> list[LockMode]:
         if self.params.p_update >= 1.0:
             return [LockMode.EXCLUSIVE] * count
-        draws = self._ref_rng.random(count)
-        return [LockMode.EXCLUSIVE if draw < self.params.p_update
-                else LockMode.SHARE for draw in draws]
+        random = self._ref_rng.random
+        p_update = self.params.p_update
+        return [LockMode.EXCLUSIVE if random() < p_update
+                else LockMode.SHARE for _ in range(count)]
 
-    def _draw_class_b_entities(self, site: int, count: int) -> np.ndarray:
+    def _draw_class_b_entities(self, site: int, count: int) -> list[int]:
         """Class B references, optionally with home-partition locality."""
         p_b_local = self.params.p_b_local
         if p_b_local is None:
@@ -197,24 +221,22 @@ class TransactionFactory:
         for _ in range(count):
             while True:
                 if self._ref_rng.random() < p_b_local:
-                    value = int(self._ref_rng.integers(home_low, home_high))
+                    value = self._ref_rng.integers(home_low, home_high)
                 else:
                     # Uniform over the space excluding the home partition.
-                    value = int(self._ref_rng.integers(
-                        0, self.params.lockspace))
+                    value = self._ref_rng.integers(0, self.params.lockspace)
                     if home_low <= value < home_high:
                         continue
                 if value not in seen:
                     seen.add(value)
                     entities.append(value)
                     break
-        return np.array(entities, dtype=np.int64)
+        return entities
 
     def make_transaction(self, site: int, now: float) -> Transaction:
         """Draw one arriving transaction for ``site`` at time ``now``."""
-        is_class_a = bool(self._class_rng.random() < self.params.p_local)
         count = self.params.locks_per_txn
-        if is_class_a:
+        if self._class_rng.random() < self.params.p_local:
             low, high = self.partition.site_range(site)
             txn_class = TransactionClass.A
             entities = self._draw_entities(low, high, count)
@@ -222,13 +244,11 @@ class TransactionFactory:
             txn_class = TransactionClass.B
             entities = self._draw_class_b_entities(site, count)
         modes = self._draw_modes(count)
-        references = tuple(Reference(int(entity), mode)
-                           for entity, mode in zip(entities, modes))
         return Transaction(
             txn_id=next(self._ids),
             txn_class=txn_class,
             home_site=site,
-            references=references,
+            references=tuple(map(Reference, entities, modes)),
             arrival_time=now,
         )
 

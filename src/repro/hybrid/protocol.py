@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CentralSnapshot:
     """Central-site state as sampled when a message was sent.
 

@@ -18,8 +18,8 @@ from .engine import (
 from .network import DuplexChannel, Link, Message
 from .resources import Request, Resource, Store
 from .spans import PHASES, SpanRecorder
-from .rng import ExponentialSampler, RandomStreams, UniformIntSampler, \
-    crn_seed
+from .rng import ExponentialSampler, RandomStreams, StreamReplay, \
+    UniformIntSampler, crn_seed
 from .stats import (
     BatchMeans,
     ControlVariateEstimate,
@@ -50,6 +50,7 @@ __all__ = [
     "Store",
     "ExponentialSampler",
     "RandomStreams",
+    "StreamReplay",
     "UniformIntSampler",
     "crn_seed",
     "BatchMeans",

@@ -23,6 +23,24 @@ exact sequence.  A sampler therefore assumes *exclusive* ownership of
 its generator: drawing from the underlying stream directly while a
 sampler holds buffered values would desynchronise the two.  Every
 sampler in this codebase is built on a name no other component touches.
+
+The workload's busiest streams (``txn-class``, ``txn-references``) mix
+``random()`` with ``integers`` draws of varying width, so no single
+vector call can pre-draw them.  :meth:`RandomStreams.replay` instead
+buffers the stream's *raw* 64-bit PCG64 outputs
+(``bit_generator.random_raw``, in the samplers' growing batches) and
+turns them into draws in Python exactly as numpy's ``Generator`` does:
+``random()`` is numpy's ``next_double`` and ``integers(low, high)`` is
+the default int64 path of ``Generator.integers`` (Lemire's bounded
+rejection on 32-bit words, each raw output yielding its low half first
+and its high half on the next word, like PCG64's ``has_uint32``; 64-bit
+Lemire for ranges wider than 2**32).  Every draw, and the stream
+position after it, is bit-identical to calling the ``Generator``
+directly.  A :class:`StreamReplay` follows the samplers' contract: it
+owns its stream exclusively (it adopts a pending 32-bit half when it
+is created, and the generator must not be drawn from afterwards), and
+its buffer and pending half pickle with it, so a restored replay
+continues the exact sequence.
 """
 
 from __future__ import annotations
@@ -32,7 +50,7 @@ import hashlib
 import numpy as np
 
 __all__ = ["RandomStreams", "ExponentialSampler", "UniformIntSampler",
-           "crn_seed"]
+           "StreamReplay", "crn_seed"]
 
 
 def crn_seed(base_seed: int, point_key: str, replication: int) -> int:
@@ -117,6 +135,11 @@ class RandomStreams:
                     high: int) -> "UniformIntSampler":
         """Sampler of uniform integers in ``[low, high)``."""
         return UniformIntSampler(self.stream(name), low, high)
+
+    def replay(self, name: str) -> "StreamReplay":
+        """Exact buffered replay of stream ``name`` (see
+        :class:`StreamReplay`); it owns the stream from now on."""
+        return StreamReplay(self.stream(name))
 
     def spawn(self, name: str) -> "RandomStreams":
         """Derive an independent child :class:`RandomStreams`."""
@@ -211,3 +234,115 @@ class UniformIntSampler:
             out.extend(self._buffer[self._next:self._next + take])
             self._next += take
         return np.asarray(out, dtype=np.int64)
+
+
+_WORD32 = 1 << 32
+_WORD64 = 1 << 64
+_MASK64 = _WORD64 - 1
+_INT64 = 1 << 63
+_DOUBLE_UNIT = 2.0 ** -53
+
+
+class StreamReplay:
+    """``random()`` and ``integers`` of a PCG64 ``Generator``, replayed
+    in Python from buffered raw outputs.
+
+    Each draw equals the one the wrapped generator would have returned,
+    and in the same order (see the module docstring for the algorithms
+    and the ownership contract).  Only PCG64 is supported: the 32-bit
+    word order replayed here is that bit generator's.
+    """
+
+    def __init__(self, generator: np.random.Generator):
+        bit_generator = generator.bit_generator
+        if not isinstance(bit_generator, np.random.PCG64):
+            raise TypeError("StreamReplay replays PCG64 streams only, "
+                            f"not {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._generator = generator
+        self._raw: list[int] = []
+        self._next = 0
+        self._batch = _BATCH_START
+        #: High half of the last raw output split into 32-bit words,
+        #: owed to the next word (PCG64's ``has_uint32``/``uinteger``).
+        self._half: int | None = (state["uinteger"] if state["has_uint32"]
+                                  else None)
+
+    def _refill(self) -> None:
+        self._raw = self._generator.bit_generator.random_raw(
+            self._batch).tolist()
+        self._next = 0
+        if self._batch < _BATCH_LIMIT:
+            self._batch = min(self._batch * 2, _BATCH_LIMIT)
+
+    def _next64(self) -> int:
+        i = self._next
+        raw = self._raw
+        if i >= len(raw):
+            self._refill()
+            raw = self._raw
+            i = 0
+        self._next = i + 1
+        return raw[i]
+
+    def random(self) -> float:
+        """Uniform float in ``[0, 1)``, as ``Generator.random()``."""
+        return (self._next64() >> 11) * _DOUBLE_UNIT
+
+    def integers(self, low: int, high: int, size: int | None = None):
+        """Uniform integer(s) in ``[low, high)``, as
+        ``Generator.integers(low, high, size)`` with its default int64
+        dtype; a ``size`` gives a list of Python ints."""
+        if not -_INT64 <= low < high <= _INT64:
+            raise ValueError(f"bad int64 range [{low}, {high})")
+        count = 1 if size is None else size
+        span = high - low
+        if span == 1:
+            out = [low] * count
+        elif span <= _WORD32:
+            out = self._lemire32(low, span, count)
+        else:
+            out = self._lemire64(low, span, count)
+        return out[0] if size is None else out
+
+    def _lemire32(self, low: int, span: int, count: int) -> list[int]:
+        """numpy's ``buffered_bounded_lemire_uint32``, with the word
+        buffer kept in locals across the ``count`` draws.
+
+        At ``span == 2**32`` the threshold is 0 and every word is kept
+        as it is, which is numpy's separate full-width path.
+        """
+        threshold = _WORD32 % span
+        raw, i, half = self._raw, self._next, self._half
+        out = []
+        append = out.append
+        for _ in range(count):
+            while True:
+                if half is None:
+                    if i >= len(raw):
+                        self._refill()
+                        raw, i = self._raw, 0
+                    value = raw[i]
+                    i += 1
+                    half = value >> 32
+                    scaled = (value & 0xFFFFFFFF) * span
+                else:
+                    scaled = half * span
+                    half = None
+                if scaled & 0xFFFFFFFF >= threshold:
+                    break
+            append(low + (scaled >> 32))
+        self._next, self._half = i, half
+        return out
+
+    def _lemire64(self, low: int, span: int, count: int) -> list[int]:
+        """numpy's ``bounded_lemire_uint64`` (at ``span == 2**64``, its
+        full-width path, as in :meth:`_lemire32`)."""
+        threshold = _WORD64 % span
+        out = []
+        for _ in range(count):
+            scaled = self._next64() * span
+            while scaled & _MASK64 < threshold:
+                scaled = self._next64() * span
+            out.append(low + (scaled >> 64))
+        return out

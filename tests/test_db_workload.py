@@ -13,6 +13,7 @@ from repro.db import (
     TransactionFactory,
     WorkloadParams,
 )
+from repro.db.transaction import Reference, Transaction, new_transaction_ids
 from repro.sim import Environment, RandomStreams
 
 
@@ -41,10 +42,38 @@ def test_total_arrival_rate():
     {"locks_per_txn": -1},
     {"arrival_rate_per_site": 0.0},
     {"lockspace": 5, "n_sites": 10},
+    # Reference strings that cannot be drawn: too few distinct entities.
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 5, "p_local": 0.5},
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 5, "p_local": 0.0,
+     "p_b_local": 1.0},
+    {"n_sites": 2, "lockspace": 40, "locks_per_txn": 21, "p_local": 0.0,
+     "p_b_local": 0.0},
+    {"n_sites": 2, "lockspace": 40, "locks_per_txn": 41, "p_local": 0.0},
+    {"n_sites": 2, "lockspace": 40, "locks_per_txn": 41, "p_local": 0.0,
+     "p_b_local": 0.5},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
         WorkloadParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    # Each limit exactly met.
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 4, "p_local": 0.5},
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 4, "p_local": 0.0,
+     "p_b_local": 1.0},
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 36, "p_local": 0.0,
+     "p_b_local": 0.0},
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 40, "p_local": 0.0},
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 40, "p_local": 0.0,
+     "p_b_local": 0.5},
+])
+def test_reference_strings_at_the_limit_are_drawn(kwargs):
+    params = WorkloadParams(**kwargs)
+    factory = TransactionFactory(params, RandomStreams(seed=2))
+    for site in range(params.n_sites):
+        entities = factory.make_transaction(site, 0.0).entities
+        assert len(set(entities)) == params.locks_per_txn
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +214,110 @@ def test_arrival_time_stamped(factory):
     txn = factory.make_transaction(site=2, now=99.5)
     assert txn.arrival_time == 99.5
     assert txn.home_site == 2
+
+
+class NumpyTransactionFactory:
+    """The numpy-drawn factory the replay-based one replaced, verbatim
+    apart from its name: the reference for the equivalence test."""
+
+    def __init__(self, params: WorkloadParams, streams: RandomStreams):
+        self.params = params
+        self.partition = LockSpacePartition(params.lockspace, params.n_sites)
+        self._ids = new_transaction_ids()
+        self._class_rng = streams.stream("txn-class")
+        self._ref_rng = streams.stream("txn-references")
+
+    def _draw_entities(self, low: int, high: int, count: int) -> np.ndarray:
+        span = high - low
+        if count > span:
+            raise ValueError(f"cannot draw {count} distinct from {span}")
+        chosen = self._ref_rng.integers(low, high, size=count)
+        seen = set()
+        result = []
+        for entity in chosen:
+            value = int(entity)
+            while value in seen:
+                value = int(self._ref_rng.integers(low, high))
+            seen.add(value)
+            result.append(value)
+        return np.array(result, dtype=np.int64)
+
+    def _draw_modes(self, count: int) -> list[LockMode]:
+        if self.params.p_update >= 1.0:
+            return [LockMode.EXCLUSIVE] * count
+        draws = self._ref_rng.random(count)
+        return [LockMode.EXCLUSIVE if draw < self.params.p_update
+                else LockMode.SHARE for draw in draws]
+
+    def _draw_class_b_entities(self, site: int, count: int) -> np.ndarray:
+        p_b_local = self.params.p_b_local
+        if p_b_local is None:
+            return self._draw_entities(0, self.params.lockspace, count)
+        home_low, home_high = self.partition.site_range(site)
+        entities: list[int] = []
+        seen: set[int] = set()
+        for _ in range(count):
+            while True:
+                if self._ref_rng.random() < p_b_local:
+                    value = int(self._ref_rng.integers(home_low, home_high))
+                else:
+                    # Uniform over the space excluding the home partition.
+                    value = int(self._ref_rng.integers(
+                        0, self.params.lockspace))
+                    if home_low <= value < home_high:
+                        continue
+                if value not in seen:
+                    seen.add(value)
+                    entities.append(value)
+                    break
+        return np.array(entities, dtype=np.int64)
+
+    def make_transaction(self, site: int, now: float) -> Transaction:
+        is_class_a = bool(self._class_rng.random() < self.params.p_local)
+        count = self.params.locks_per_txn
+        if is_class_a:
+            low, high = self.partition.site_range(site)
+            txn_class = TransactionClass.A
+            entities = self._draw_entities(low, high, count)
+        else:
+            txn_class = TransactionClass.B
+            entities = self._draw_class_b_entities(site, count)
+        modes = self._draw_modes(count)
+        references = tuple(Reference(int(entity), mode)
+                           for entity, mode in zip(entities, modes))
+        return Transaction(
+            txn_id=next(self._ids),
+            txn_class=txn_class,
+            home_site=site,
+            references=references,
+            arrival_time=now,
+        )
+
+
+def _drawn(txn):
+    return (txn.txn_class, txn.entities,
+            tuple(ref.mode for ref in txn.references))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"p_update": 0.5},
+    {"p_b_local": 0.0},
+    {"p_b_local": 0.3},
+    {"p_b_local": 1.0},
+    # Class A draws 10 distinct of a 10-entity partition: many retries.
+    {"n_sites": 4, "lockspace": 40},
+])
+def test_factory_draws_equal_the_numpy_factory(kwargs):
+    params = WorkloadParams(**kwargs)
+    factory = TransactionFactory(params, RandomStreams(seed=31))
+    reference = NumpyTransactionFactory(params, RandomStreams(seed=31))
+    for index in range(5_000):
+        site = index % params.n_sites
+        got, want = (source.make_transaction(site, 0.0)
+                     for source in (factory, reference))
+        assert _drawn(got) == _drawn(want), index
+        assert all(type(ref.entity) is int for ref in got.references)
 
 
 # ---------------------------------------------------------------------------

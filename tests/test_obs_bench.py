@@ -125,6 +125,20 @@ class TestRunBenchmarks:
         assert (again["frames"], again["events"]) == \
             (record["frames"], record["events"])
 
+    def test_workload_throughput_record_schema(self):
+        (record,) = run_benchmarks(["workload_throughput"], scale=0.02,
+                                   repeat=1)
+        assert record["benchmark"] == "workload_throughput"
+        assert record["txns_per_sec"] > 0
+        assert record["arrivals"] == round(3_622 * 0.2)
+        assert record["references"] == 10 * record["arrivals"]
+        # About p_local = 0.75 of the draws are class A.
+        assert 0.65 < record["class_a"] / record["arrivals"] < 0.85
+        again = run_benchmarks(["workload_throughput"], scale=0.02,
+                               repeat=1)[0]
+        assert (again["class_a"], again["sim_seconds"]) == \
+            (record["class_a"], record["sim_seconds"])
+
     def test_channel_throughput_is_recorded_not_gated(self, monkeypatch):
         import repro.obs.bench as bench
 
@@ -138,9 +152,13 @@ class TestRunBenchmarks:
             name: functools.partial(stub, name) for name in bench._RUNNERS})
         run_benchmarks()
         assert "channel_throughput" not in ran
+        assert "workload_throughput" not in ran
         record = {"benchmark": "channel_throughput", "frames_per_sec": 1.0}
         assert compare_records([record], [dict(record,
                                                 frames_per_sec=0.1)]) == []
+        record = {"benchmark": "workload_throughput", "txns_per_sec": 1.0}
+        assert compare_records([record], [dict(record,
+                                                txns_per_sec=0.1)]) == []
 
 
 @pytest.fixture
@@ -242,16 +260,16 @@ class TestCli:
         def must_not_run(*args):
             raise AssertionError("benchmark ran")
 
-        monkeypatch.setitem(bench._RUNNERS, "channel_throughput",
-                            must_not_run)
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps([_record()]))
-        code = main(["gate", "--baseline", str(baseline),
-                     "--bench", "channel_throughput"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "channel_throughput is recorded only" in captured.err
-        assert "OK" not in captured.out
+        for name in ("channel_throughput", "workload_throughput"):
+            monkeypatch.setitem(bench._RUNNERS, name, must_not_run)
+            code = main(["gate", "--baseline", str(baseline),
+                         "--bench", name])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert f"{name} is recorded only" in captured.err
+            assert "OK" not in captured.out
 
     @pytest.mark.parametrize("argv", [
         ["run", "--out", "x.json", "--scale", "0"],
