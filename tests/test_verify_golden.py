@@ -127,3 +127,21 @@ def test_fingerprint_scenario_metadata():
     assert data["counts"]["completed"] > 0
     assert data["counts"]["class_a_shipped"] == 0
     assert data["trace"]["records"] > 0
+
+
+def test_fault_scenarios_pin_their_plan_and_registry():
+    """Each fault scenario records its canned plan, and every golden
+    pins the run's metrics-registry snapshot."""
+    from repro.sim.faults import NAMED_PLANS
+
+    for s in SCENARIOS:
+        data = json.loads(golden_path(s).read_text())
+        assert data["metrics"]["txn_completed"] == \
+            data["counts"]["completed"]
+        if s.fault_plan is None:
+            assert "fault_plan" not in data["scenario"]
+            assert data["metrics"]["fault_events"] == 0
+        else:
+            assert s.fault_plan in NAMED_PLANS
+            assert data["scenario"]["fault_plan"] == s.fault_plan
+            assert data["metrics"]["fault_events"] > 0
