@@ -91,13 +91,17 @@ class WorkloadParams:
                 f"class A draws {self.locks_per_txn} distinct entities "
                 f"from a {partition}-entity site partition")
         if self.p_local < 1.0:
-            if self.p_b_local == 1.0:
+            if self.p_b_local is None:
+                space, where = self.lockspace, "the lock space"
+            elif self.p_b_local == 1.0:
                 space, where = partition, "the home partition"
             elif self.p_b_local == 0.0:
                 space = self.lockspace - partition
                 where = "outside the home partition"
             else:
-                space, where = self.lockspace, "the lock space"
+                # Every position may land in either region.
+                space = min(partition, self.lockspace - partition)
+                where = "the smaller of the home partition and the rest"
             if self.locks_per_txn > space:
                 raise ValueError(
                     f"class B draws {self.locks_per_txn} distinct "
@@ -219,8 +223,12 @@ class TransactionFactory:
         entities: list[int] = []
         seen: set[int] = set()
         for _ in range(count):
+            # One locality toss per reference position: a rejection or a
+            # duplicate redraws inside the region the toss chose, so each
+            # position is a home reference with probability p_b_local.
+            home = self._ref_rng.random() < p_b_local
             while True:
-                if self._ref_rng.random() < p_b_local:
+                if home:
                     value = self._ref_rng.integers(home_low, home_high)
                 else:
                     # Uniform over the space excluding the home partition.

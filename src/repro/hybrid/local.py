@@ -944,7 +944,7 @@ class LocalSite(SiteBase):
         self.central_suspected = False
         if notice.snapshot.time > self.central_snapshot.time:
             self.central_snapshot = notice.snapshot
-        self.metrics.record_repoint(self.site_id)
+        self.metrics.record_takeover(f"repoint-site-{self.site_id}")
         if self.channel is not None:
             # Stop retransmitting to the dead primary.
             self.channel.abandon()

@@ -18,14 +18,20 @@ figures need is gathered here:
   transactions by authentication, invalidation of central transactions by
   asynchronous updates, negative acknowledgements);
 * message counts and mean CPU utilisations;
+* the robustness and survivability counters of fault-plan runs;
 * windowed time-series telemetry and engine profiling, attached by the
   system at freeze time (see :mod:`repro.hybrid.telemetry`).
+
+:data:`EVENTS` is the collector's event vocabulary: one row per event
+giving the trace kind it is emitted as, the registry family it counts
+into, whether that count is gated on the warm-up window, and the
+:class:`SimulationResult` field that reads the family back.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..db.transaction import (
     Placement,
@@ -34,16 +40,18 @@ from ..db.transaction import (
     TransactionKind,
 )
 from ..obs.registry import MetricsRegistry
+from ..sim.faults import RecoveryRecord
 from ..sim.quantiles import QuantileSet
 from ..sim.spans import PHASE_OTHER, PHASES
-from ..sim.stats import RunningStat, TimeWeightedStat
+from ..sim.stats import RunningStat
+from ..sim.trace import NullTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.audit import RoutingAudit
     from ..sim.engine import Environment
     from .telemetry import TelemetryWindow
 
-__all__ = ["MetricsCollector", "SimulationResult"]
+__all__ = ["EVENTS", "Event", "MetricsCollector", "SimulationResult"]
 
 
 @dataclass(frozen=True)
@@ -191,9 +199,9 @@ class SimulationResult:
     #: The commit protocol that produced this run (a name from
     #: :mod:`repro.hybrid.protocols`).
     protocol: str = "optimistic"
-    #: Protocol-specific event counters (``record_protocol_event``
-    #: mirror: prepare rounds, epoch flushes, blocked-transaction
-    #: resolutions, ...).  Empty under the default protocol, which keeps
+    #: Protocol-specific event counters (the ``protocol_events`` family:
+    #: prepare rounds, epoch flushes, blocked-transaction resolutions,
+    #: ...).  Empty under the default protocol, which keeps
     #: pre-extraction results field-identical.
     protocol_counters: dict[str, int] = field(default_factory=dict)
 
@@ -281,6 +289,140 @@ class SimulationResult:
             self.mean_response_time
 
 
+class Event(NamedTuple):
+    """One row of the collector's event table (see :data:`EVENTS`)."""
+
+    #: Trace kind the event is emitted as; ``None`` for a registry-only
+    #: row (too frequent for the trace, or kept out of the trace
+    #: vocabulary the golden digests pin).
+    kind: str | None
+    #: Registry family the event feeds, its help text and label names.
+    family: str
+    help: str
+    labels: tuple[str, ...] = ()
+    #: Counted only inside the measurement window.  Ungated rows count
+    #: from simulation start: they describe the experiment's design
+    #: (fault schedule, recovery protocols) or its structure (routing,
+    #: commit-protocol rounds), not a steady-state measurement.
+    gated: bool = True
+    #: :class:`SimulationResult` field that reads the family's total.
+    field: str | None = None
+    #: ``(label value, SimulationResult field)`` pairs reading single
+    #: children of a one-label family.
+    split: tuple[tuple[str, str], ...] = ()
+    #: Registry instrument kind: ``counter`` or ``histogram``.
+    instrument: str = "counter"
+
+
+#: The collector's event vocabulary: every trace kind it emits and every
+#: registry family it feeds.  Traces are never gated, so debugging runs
+#: see the start-up transient too; the ``gated`` flag governs the
+#: counter only.  The ``route``, ``arrival``, ``shipped``, ``commit``,
+#: ``spans``, ``abort``, ``auth-round`` and ``message`` rows are the hot
+#: path and are recorded by hand-written hooks with pre-bound children;
+#: every other row is recorded through ``MetricsCollector._record``.
+EVENTS: dict[str, Event] = {
+    "route": Event(
+        "route", "routing_decisions", "placement decisions by placement "
+        "and reason (counted from simulation start)",
+        ("placement", "reason"), gated=False),
+    "arrival": Event(
+        None, "txn_arrivals", "measured arrivals by class",
+        ("txn_class",), split=(("A", "class_a_arrivals"),)),
+    "shipped": Event(
+        None, "txn_shipped", "class A arrivals routed to the central "
+        "complex", field="class_a_shipped"),
+    "commit": Event(
+        "commit", "txn_completed", "transactions committed in the "
+        "measurement window", field="completed"),
+    "spans": Event(
+        "spans", "response_time_seconds", "measured response times by "
+        "class", ("txn_class",), instrument="histogram"),
+    "abort": Event(
+        "abort", "txn_aborts", "aborts by cause", ("cause",),
+        field="aborts_total",
+        split=(("deadlock", "aborts_deadlock"),
+               ("local-invalidated", "aborts_local_invalidated"),
+               ("central-invalidated", "aborts_central_invalidated"))),
+    "auth-round": Event(
+        None, "auth_rounds", "completed authentication rounds by "
+        "verdict", ("verdict",)),
+    "message": Event(
+        "message", "messages_sent", "protocol messages by direction",
+        ("direction",),
+        split=(("to-central", "messages_to_central"),
+               ("to-sites", "messages_to_sites"))),
+    # Cold rows of the paper's transaction path.
+    "negative-ack": Event(
+        "negative-ack", "auth_negative_acks", "authentication rounds "
+        "answered NAK", field="auth_negative_acks"),
+    "protocol": Event(
+        None, "protocol_events", "commit-protocol events by kind",
+        ("event",), gated=False),
+    # Robustness rows: they fire only under a fault plan.
+    "fault": Event(
+        "fault", "fault_events", "fault-episode transitions (applies + "
+        "reverts)", gated=False, field="fault_events"),
+    "timeout": Event(
+        "timeout", "txn_timeouts", "shipments whose retry budget was "
+        "exhausted", field="txns_timed_out"),
+    "failover": Event(
+        "failover", "txn_failovers", "timed-out class A shipments re-run "
+        "at home", field="txns_failed_over"),
+    "txn-failed": Event(
+        "txn-failed", "txn_failures", "transactions abandoned "
+        "permanently", field="txns_failed"),
+    "cancel": Event(
+        "cancel", "txn_cancelled_central", "central executions killed by "
+        "a ShipmentCancel", field="txns_cancelled_central"),
+    "fallback": Event(
+        "fallback", "fallback_routings", "class A arrivals kept local by "
+        "failure awareness", field="fallback_routings"),
+    "rejected": Event(
+        "rejected", "arrivals_rejected", "arrivals turned away by crashed "
+        "sites", field="arrivals_rejected"),
+    "drop": Event(
+        "drop", "messages_dropped", "messages lost on degraded links",
+        field="messages_dropped"),
+    "retransmit": Event(
+        "retransmit", "messages_retransmitted", "reliable-channel "
+        "retransmissions", field="messages_retransmitted"),
+    "duplicate": Event(
+        None, "messages_duplicate", "duplicate deliveries discarded",
+        field="duplicate_messages"),
+    # Survivability rows: they fire only when the fault plan's recovery
+    # policy arms the corresponding protocol.
+    "shed": Event(
+        "shed", "arrivals_shed", "arrivals shed by bounded admission",
+        ("node",), field="arrivals_shed"),
+    "txn-lost": Event(
+        "txn-lost", "txns_lost_in_crash", "transactions destroyed with a "
+        "site's volatile state", field="txns_lost_in_crash"),
+    "deadline-cancel": Event(
+        "deadline-cancel", "txn_deadline_cancels", "shipments cancelled "
+        "past their deadline", field="txns_deadline_cancelled"),
+    "reship": Event(
+        "reship", "txn_reshipped", "class B shipments re-shipped to the "
+        "standby after failover", field="txns_reshipped"),
+    "breaker": Event(
+        "breaker", "breaker_transitions", "circuit-breaker transitions by "
+        "site and new state", ("site", "state"), gated=False,
+        field="breaker_transitions"),
+    "takeover": Event(
+        "takeover", "takeover_events", "standby takeover protocol events",
+        ("event",), gated=False),
+    "recovery": Event(
+        "recovery", "recoveries", "completed recovery protocols by kind",
+        ("kind",), gated=False),
+    "fenced": Event(
+        None, "fenced_frames", "frames discarded from a deposed primary",
+        ("site",), gated=False),
+    "auth-deadline": Event(
+        None, "auth_deadline_refusals", "authentication rounds refused "
+        "for an expired deadline", ("site",)),
+}
+
+
 def _phase_stats() -> dict[str, RunningStat]:
     return {phase: RunningStat() for phase in PHASES}
 
@@ -289,24 +431,25 @@ def _phase_means(stats: dict[str, RunningStat]) -> dict[str, float]:
     return {phase: stat.mean for phase, stat in stats.items() if stat.count}
 
 
+def _decompositions(groups: dict) -> dict:
+    """Phase means per group, for the groups that saw a completion."""
+    return {key: _phase_means(stats) for key, stats in groups.items()
+            if any(stat.count for stat in stats.values())}
+
+
 class MetricsCollector:
     """Accumulates statistics during a run and freezes them into a result.
 
-    Every protocol-visible transition flows through this collector, so it
-    doubles as the system's trace point: pass a
-    :class:`~repro.sim.trace.Tracer` to record a structured event log
-    (kinds: ``route``, ``commit``, ``spans``, ``abort``, ``negative-ack``,
-    ``message``).  Trace emission is unconditional (not gated on the
-    warm-up window) so debugging runs see the start-up transient too.
-
-    The scalar protocol counters live in a
-    :class:`~repro.obs.registry.MetricsRegistry` (one is created when
-    none is passed): each hook increments a pre-bound registry child,
-    and the historical attribute names (``completed``,
-    ``aborts_deadlock``, ...) remain available as read-only properties.
-    An optional :class:`~repro.obs.audit.RoutingAudit` receives every
+    Every protocol-visible transition flows through one ``record_*``
+    hook, and :data:`EVENTS` says what each one does: the trace kind it
+    emits to the optional :class:`~repro.sim.trace.Tracer`, the
+    :class:`~repro.obs.registry.MetricsRegistry` family it increments
+    (one is created when none is passed), and whether that increment is
+    gated on the warm-up window.  :meth:`counts` reads the
+    :class:`SimulationResult` counters back from the registry.  An
+    optional :class:`~repro.obs.audit.RoutingAudit` receives every
     placement decision together with the observation that drove it.
-    Both are strictly observational and deterministic.
+    All of it is strictly observational and deterministic.
     """
 
     def __init__(self, env: "Environment", warmup_time: float,
@@ -314,8 +457,6 @@ class MetricsCollector:
                  audit: "RoutingAudit | None" = None):
         self.env = env
         self.warmup_time = warmup_time
-        from ..sim.trace import NullTracer
-
         self.tracer = tracer if tracer is not None else NullTracer()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
@@ -337,131 +478,44 @@ class MetricsCollector:
                                       dict[str, RunningStat]] = {
             placement: _phase_stats() for placement in Placement}
 
-        self.n_central = TimeWeightedStat()
-        self.n_local = TimeWeightedStat()
-
-        # -- registry instruments (children bound once; hooks do one
-        # -- attribute add per event).  All are gated on the measurement
-        # -- window exactly as the historical plain-int fields were.
-        reg = self.registry
-        self._completed = reg.counter(
-            "txn_completed", "transactions committed in the "
-            "measurement window").single
-        arrivals = reg.counter(
-            "txn_arrivals", "measured arrivals by class",
-            labels=("txn_class",))
-        self._arrivals_a = arrivals.labels("A")
-        self._arrivals_b = arrivals.labels("B")
-        self._shipped_a = reg.counter(
-            "txn_shipped", "class A arrivals routed to the central "
-            "complex").single
-        aborts = reg.counter("txn_aborts", "aborts by cause",
-                             labels=("cause",))
-        self._aborts_deadlock = aborts.labels("deadlock")
-        self._aborts_local = aborts.labels("local-invalidated")
-        self._aborts_central = aborts.labels("central-invalidated")
-        self._nak = reg.counter(
-            "auth_negative_acks", "authentication rounds answered "
-            "NAK").single
-        auth_rounds = reg.counter(
-            "auth_rounds", "completed authentication rounds by verdict",
-            labels=("verdict",))
-        self._auth_granted = auth_rounds.labels("granted")
-        self._auth_refused = auth_rounds.labels("refused")
-        messages = reg.counter(
-            "messages_sent", "protocol messages by direction",
-            labels=("direction",))
-        self._msg_central = messages.labels("to-central")
-        self._msg_sites = messages.labels("to-sites")
-        self._routing = reg.counter(
-            "routing_decisions", "placement decisions by placement "
-            "and reason (counted from simulation start)",
-            labels=("placement", "reason"))
-        self._response_hist_family = reg.histogram(
-            "response_time_seconds", "measured response times by class",
-            labels=("txn_class",))
-        self._response_hist = {
-            cls: self._response_hist_family.labels(cls.value)
-            for cls in TransactionClass}
-
-        # Robustness / availability counters (all stay zero without a
-        # fault plan -- none of the hooks below fire then).
-        self._timed_out = reg.counter(
-            "txn_timeouts", "shipments whose retry budget was "
-            "exhausted").single
-        self._failed_over = reg.counter(
-            "txn_failovers", "timed-out class A shipments re-run at "
-            "home").single
-        self._failed = reg.counter(
-            "txn_failures", "transactions abandoned permanently").single
-        self._cancelled = reg.counter(
-            "txn_cancelled_central", "central executions killed by a "
-            "ShipmentCancel").single
-        self._fallbacks = reg.counter(
-            "fallback_routings", "class A arrivals kept local by "
-            "failure awareness").single
-        self._rejected = reg.counter(
-            "arrivals_rejected", "arrivals turned away by crashed "
-            "sites").single
-        self._dropped = reg.counter(
-            "messages_dropped", "messages lost on degraded links").single
-        self._retransmitted = reg.counter(
-            "messages_retransmitted", "reliable-channel "
-            "retransmissions").single
-        self._duplicates = reg.counter(
-            "messages_duplicate", "duplicate deliveries discarded").single
-        self._faults = reg.counter(
-            "fault_events", "fault-episode transitions (applies + "
-            "reverts)").single
-
-        # Survivability counters (all stay zero unless the fault plan's
-        # recovery policy arms the corresponding protocol).
-        self._shed = reg.counter(
-            "arrivals_shed", "arrivals shed by bounded admission",
-            labels=("node",))
-        self._shed_total = 0
-        self._lost_in_crash = reg.counter(
-            "txns_lost_in_crash", "transactions destroyed with a "
-            "site's volatile state").single
-        self._deadline_cancelled = reg.counter(
-            "txn_deadline_cancels", "shipments cancelled past their "
-            "deadline").single
-        self._reshipped = reg.counter(
-            "txn_reshipped", "class B shipments re-shipped to the "
-            "standby after failover").single
-        self._breaker = reg.counter(
-            "breaker_transitions", "circuit-breaker transitions by "
-            "site and new state", labels=("site", "state"))
-        self._breaker_total = 0
-        self._takeovers = reg.counter(
-            "takeover_events", "standby takeover protocol events",
-            labels=("event",))
-        self._recovery_counter = reg.counter(
-            "recoveries", "completed recovery protocols by kind",
-            labels=("kind",))
-        self._fenced = reg.counter(
-            "fenced_frames", "frames discarded from a deposed primary",
-            labels=("site",))
-        self._auth_deadline = reg.counter(
-            "auth_deadline_refusals", "authentication rounds refused "
-            "for an expired deadline", labels=("site",))
-        # Commit-protocol event counters (prepare rounds, epoch flushes,
-        # ...).  The default protocol never fires these, so the registry
-        # snapshot -- and with it every golden fingerprint -- is
-        # unchanged for pre-existing runs.
-        self._protocol_events = reg.counter(
-            "protocol_events", "commit-protocol events by kind",
-            labels=("event",))
-        self.protocol_event_counts: dict[str, int] = {}
+        self._families = {
+            name: getattr(self.registry, row.instrument)(
+                row.family, row.help, labels=row.labels)
+            for name, row in EVENTS.items()}
+        # Hot rows: children bound once, so a hook does one add.
+        family = self._families
+        self._routing = family["route"]
+        self._arrivals = {cls: family["arrival"].labels(cls.value)
+                          for cls in TransactionClass}
+        self._shipped_a = family["shipped"].single
+        self._completed = family["commit"].single
+        self._response_hist = {cls: family["spans"].labels(cls.value)
+                               for cls in TransactionClass}
+        self._aborts = {cause: family["abort"].labels(cause)
+                        for cause, _ in EVENTS["abort"].split}
+        self._auth_rounds = {True: family["auth-round"].labels("granted"),
+                             False: family["auth-round"].labels("refused")}
+        self._messages = {True: family["message"].labels("to-central"),
+                          False: family["message"].labels("to-sites")}
         #: Protocol-level recovery timings
         #: (:class:`~repro.sim.faults.RecoveryRecord`).
         self.recoveries: list = []
 
-    # -- recording hooks (called by the sites) ------------------------------
-
     @property
     def measuring(self) -> bool:
         return self.env.now >= self.warmup_time
+
+    def _record(self, name: str, labels: tuple = (), /, **payload) -> None:
+        """Record one event of a cold :data:`EVENTS` row: trace it, then
+        count it under ``labels`` unless the row is gated and the run
+        is still warming up."""
+        row = EVENTS[name]
+        if row.kind is not None and self.tracer.enabled:
+            self.tracer.emit(self.env.now, row.kind, **payload)
+        if not row.gated or self.env.now >= self.warmup_time:
+            self._families[name].labels(*labels).inc()
+
+    # -- hot rows -----------------------------------------------------------
 
     def record_routing(self, txn: Transaction, observation=None,
                        reason: str = "strategy") -> None:
@@ -469,8 +523,7 @@ class MetricsCollector:
 
         ``observation`` is the :class:`RoutingObservation` the router
         consulted (``None`` for forced placements) and ``reason`` the
-        decision category -- both feed the routing audit and the
-        ``routing_decisions`` counter; the trace payload is unchanged.
+        decision category; both feed the routing audit.
         """
         # Anchor the lifecycle timeline at the routing decision (which
         # coincides with arrival); time until the first attributed phase
@@ -488,12 +541,9 @@ class MetricsCollector:
                               now=self.env.now)
         if not self.measuring:
             return
-        if txn.txn_class is TransactionClass.A:
-            self._arrivals_a.inc()
-            if txn.placement is Placement.SHIPPED:
-                self._shipped_a.inc()
-        else:
-            self._arrivals_b.inc()
+        self._arrivals[txn.txn_class].inc()
+        if txn.placement is Placement.SHIPPED:
+            self._shipped_a.inc()
 
     def record_completion(self, txn: Transaction) -> None:
         if self.tracer.enabled:
@@ -524,60 +574,20 @@ class MetricsCollector:
             by_placement[phase].add(seconds)
 
     def record_abort(self, txn: Transaction, cause: str) -> None:
+        counter = self._aborts.get(cause)
+        if counter is None:
+            raise ValueError(f"unknown abort cause: {cause}")
         if self.tracer.enabled:
             self.tracer.emit(self.env.now, "abort", txn=txn.txn_id,
                              site=txn.home_site, cause=cause,
                              run=txn.run_count)
-        if not self.measuring:
-            return
-        if cause == "deadlock":
-            self._aborts_deadlock.inc()
-        elif cause == "local-invalidated":
-            self._aborts_local.inc()
-        elif cause == "central-invalidated":
-            self._aborts_central.inc()
-        else:
-            raise ValueError(f"unknown abort cause: {cause}")
-
-    def record_negative_ack(self, txn: Transaction | None = None,
-                            sites: tuple[int, ...] = ()) -> None:
-        """One authentication round answered NAK.
-
-        ``txn`` is the authenticating transaction and ``sites`` the
-        master sites that refused, so the event log can attribute the
-        rerun (the counters never needed them, the trace does).
-        """
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "negative-ack",
-                             txn=None if txn is None else txn.txn_id,
-                             sites=sites)
         if self.measuring:
-            self._nak.inc()
+            counter.inc()
 
     def record_auth_round(self, granted: bool) -> None:
-        """One authentication round concluded (registry-only hook).
-
-        Deliberately emits no trace event: the committed golden traces
-        hash the exact event stream, so new observability lands in the
-        registry, never in the tracer vocabulary.
-        """
+        """One authentication round concluded (registry-only)."""
         if self.measuring:
-            (self._auth_granted if granted else self._auth_refused).inc()
-
-    def record_protocol_event(self, event: str) -> None:
-        """One commit-protocol event (registry-only hook).
-
-        Like :meth:`record_auth_round` this deliberately emits no trace
-        event -- golden traces hash the exact event stream, so
-        per-protocol observability (prepare rounds, votes, epoch
-        flushes, blocked-transaction resolutions) lands in the registry
-        and the result's ``protocol_counters``, never in the tracer
-        vocabulary.  Counted unconditionally: protocol rounds are
-        structural behaviour, not a warmup-sensitive measurement.
-        """
-        self._protocol_events.labels(event).inc()
-        self.protocol_event_counts[event] = \
-            self.protocol_event_counts.get(event, 0) + 1
+            self._auth_rounds[granted].inc()
 
     def record_message(self, to_central: bool, kind: str | None = None,
                        site: int | None = None) -> None:
@@ -587,409 +597,178 @@ class MetricsCollector:
                 self.env.now, "message",
                 direction="to-central" if to_central else "to-site",
                 message=kind, site=site)
-        if not self.measuring:
-            return
-        if to_central:
-            self._msg_central.inc()
-        else:
-            self._msg_sites.inc()
+        if self.measuring:
+            self._messages[to_central].inc()
 
-    # -- robustness hooks (active only under a fault plan) -------------------
+    # -- cold rows ----------------------------------------------------------
+
+    def record_negative_ack(self, txn: Transaction | None = None,
+                            sites: tuple[int, ...] = ()) -> None:
+        """One authentication round answered NAK by the master ``sites``."""
+        self._record("negative-ack",
+                     txn=None if txn is None else txn.txn_id, sites=sites)
+
+    def record_protocol_event(self, event: str) -> None:
+        """One commit-protocol event (prepare round, vote, epoch flush,
+        blocked-transaction resolution, ...)."""
+        self._record("protocol", (event,))
 
     def record_fault(self, kind: str, phase: str,
                      site: int | None = None) -> None:
-        """A fault episode was applied or reverted (``phase``).
-
-        Counted unconditionally -- the fault schedule is part of the
-        experiment design, not a measured quantity.
-        """
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "fault", fault=kind, phase=phase,
-                             site=site)
-        self._faults.inc()
+        """A fault episode was applied or reverted (``phase``)."""
+        self._record("fault", fault=kind, phase=phase, site=site)
 
     def record_timeout(self, txn: Transaction) -> None:
         """A shipped transaction's response retry budget was exhausted."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "timeout", txn=txn.txn_id,
-                             site=txn.home_site,
-                             txn_class=txn.txn_class.value)
-        if self.measuring:
-            self._timed_out.inc()
+        self._record("timeout", txn=txn.txn_id, site=txn.home_site,
+                     txn_class=txn.txn_class.value)
 
     def record_failover(self, txn: Transaction) -> None:
         """A timed-out class A shipment re-runs at its home site."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "failover", txn=txn.txn_id,
-                             site=txn.home_site)
+        self._record("failover", txn=txn.txn_id, site=txn.home_site)
         if self.audit is not None:
             self.audit.record(txn, placement=Placement.LOCAL.value,
                               reason="failover", now=self.env.now)
-        if self.measuring:
-            self._failed_over.inc()
 
     def record_failure(self, txn: Transaction, cause: str) -> None:
         """A transaction was abandoned permanently (never commits)."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "txn-failed", txn=txn.txn_id,
-                             site=txn.home_site, cause=cause)
-        if self.measuring:
-            self._failed.inc()
+        self._record("txn-failed", txn=txn.txn_id, site=txn.home_site,
+                     cause=cause)
 
     def record_cancelled(self, txn: Transaction) -> None:
         """Central killed an execution on a ShipmentCancel."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "cancel", txn=txn.txn_id,
-                             site=txn.home_site)
-        if self.measuring:
-            self._cancelled.inc()
+        self._record("cancel", txn=txn.txn_id, site=txn.home_site)
 
     def record_fallback_routing(self, txn: Transaction,
                                 reason: str) -> None:
         """Failure-aware routing kept a class A arrival local."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "fallback", txn=txn.txn_id,
-                             site=txn.home_site, reason=reason)
-        if self.measuring:
-            self._fallbacks.inc()
+        self._record("fallback", txn=txn.txn_id, site=txn.home_site,
+                     reason=reason)
 
     def record_rejected_arrival(self, txn: Transaction) -> None:
         """An arrival hit a crashed site and was turned away."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "rejected", txn=txn.txn_id,
-                             site=txn.home_site)
-        if self.measuring:
-            self._rejected.inc()
+        self._record("rejected", txn=txn.txn_id, site=txn.home_site)
 
     def record_drop(self, message) -> None:
         """A degraded link lost a message."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "drop", message=message.kind)
-        if self.measuring:
-            self._dropped.inc()
+        self._record("drop", message=message.kind)
 
     def record_retransmit(self, message) -> None:
         """A reliable channel resent an unacknowledged message."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "retransmit",
-                             message=message.kind)
-        if self.measuring:
-            self._retransmitted.inc()
+        self._record("retransmit", message=message.kind)
 
     def record_duplicate(self, message) -> None:
         """A reliable channel discarded a duplicate delivery."""
-        if self.measuring:
-            self._duplicates.inc()
-
-    # -- survivability hooks (active only under a recovery policy) ----------
+        self._record("duplicate")
 
     def record_shed(self, txn: Transaction, node: str) -> None:
         """Bounded admission shed an arrival at ``node``."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "shed", txn=txn.txn_id,
-                             site=txn.home_site, node=node)
-        if self.measuring:
-            self._shed.labels(node).inc()
-            self._shed_total += 1
+        self._record("shed", (node,), txn=txn.txn_id, site=txn.home_site,
+                     node=node)
 
     def record_lost_in_crash(self, txn: Transaction) -> None:
         """A site crash destroyed this in-flight transaction."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "txn-lost", txn=txn.txn_id,
-                             site=txn.home_site)
-        if self.measuring:
-            self._lost_in_crash.inc()
+        self._record("txn-lost", txn=txn.txn_id, site=txn.home_site)
 
     def record_deadline_cancel(self, txn: Transaction) -> None:
         """A shipment was cancelled because its deadline passed."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "deadline-cancel",
-                             txn=txn.txn_id, site=txn.home_site)
-        if self.measuring:
-            self._deadline_cancelled.inc()
+        self._record("deadline-cancel", txn=txn.txn_id, site=txn.home_site)
 
     def record_reship(self, txn: Transaction) -> None:
         """A class B shipment was re-shipped to the standby."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "reship", txn=txn.txn_id,
-                             site=txn.home_site)
-        if self.measuring:
-            self._reshipped.inc()
+        self._record("reship", txn=txn.txn_id, site=txn.home_site)
 
     def record_breaker(self, site: int, state: str) -> None:
-        """A site's circuit breaker changed state.
-
-        Counted unconditionally: breaker state is part of the failure
-        timeline, like fault-episode transitions.
-        """
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "breaker", site=site, state=state)
-        self._breaker.labels(f"site-{site}", state).inc()
-        self._breaker_total += 1
+        """A site's circuit breaker changed state."""
+        self._record("breaker", (f"site-{site}", state), site=site,
+                     state=state)
 
     def record_takeover(self, event: str) -> None:
-        """A takeover protocol event (``takeover``/``primary-deposed``/
-        ``repoint-...``) occurred.  Counted unconditionally."""
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "takeover", event=event)
-        self._takeovers.labels(event).inc()
-
-    def record_repoint(self, site: int) -> None:
-        """A site re-pointed its central routing at the standby."""
-        self.record_takeover(f"repoint-site-{site}")
+        """A takeover protocol event (``takeover``, ``primary-deposed``,
+        ``repoint-site-N``) occurred."""
+        self._record("takeover", (event,), event=event)
 
     def record_recovery(self, kind: str, site: int | None,
                         started: float, completed: float) -> None:
-        """One recovery protocol (failover or rejoin) completed.
-
-        Recorded unconditionally -- recovery timing is part of the
-        experiment design, like the fault schedule itself.
-        """
-        from ..sim.faults import RecoveryRecord
-        if self.tracer.enabled:
-            self.tracer.emit(self.env.now, "recovery", recovery=kind,
-                             site=site, started=round(started, 6),
-                             completed=round(completed, 6))
-        self._recovery_counter.labels(kind).inc()
+        """One recovery protocol (failover or rejoin) completed."""
+        self._record("recovery", (kind,), recovery=kind, site=site,
+                     started=round(started, 6),
+                     completed=round(completed, 6))
         self.recoveries.append(RecoveryRecord(
             kind=kind, site=site, started=started, completed=completed))
 
     def record_fenced(self, site: int) -> None:
-        """A frame from the deposed primary was discarded (registry-only
-        hook: fencing is too frequent for the trace)."""
-        self._fenced.labels(f"site-{site}").inc()
+        """A frame from the deposed primary was discarded."""
+        self._record("fenced", (f"site-{site}",))
 
     def record_auth_deadline_refusal(self, site: int) -> None:
-        """A master refused authentication for an expired deadline
-        (registry-only hook)."""
-        if self.measuring:
-            self._auth_deadline.labels(f"site-{site}").inc()
-
-    def record_population(self, n_local_total: int, n_central: int) -> None:
-        """Sample the per-site population time series (called on changes)."""
-        self.n_local.record(self.env.now, n_local_total)
-        self.n_central.record(self.env.now, n_central)
-
-    # -- historical counter names (read-only registry views) -----------------
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def class_a_arrivals(self) -> int:
-        return int(self._arrivals_a.value)
-
-    @property
-    def class_b_arrivals(self) -> int:
-        return int(self._arrivals_b.value)
-
-    @property
-    def class_a_shipped(self) -> int:
-        return int(self._shipped_a.value)
-
-    @property
-    def aborts_deadlock(self) -> int:
-        return int(self._aborts_deadlock.value)
-
-    @property
-    def aborts_local_invalidated(self) -> int:
-        return int(self._aborts_local.value)
-
-    @property
-    def aborts_central_invalidated(self) -> int:
-        return int(self._aborts_central.value)
-
-    @property
-    def auth_negative_acks(self) -> int:
-        return int(self._nak.value)
-
-    @property
-    def messages_to_central(self) -> int:
-        return int(self._msg_central.value)
-
-    @property
-    def messages_to_sites(self) -> int:
-        return int(self._msg_sites.value)
-
-    @property
-    def txns_timed_out(self) -> int:
-        return int(self._timed_out.value)
-
-    @property
-    def txns_failed_over(self) -> int:
-        return int(self._failed_over.value)
-
-    @property
-    def txns_failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def txns_cancelled_central(self) -> int:
-        return int(self._cancelled.value)
-
-    @property
-    def fallback_routings(self) -> int:
-        return int(self._fallbacks.value)
-
-    @property
-    def arrivals_rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def messages_dropped(self) -> int:
-        return int(self._dropped.value)
-
-    @property
-    def messages_retransmitted(self) -> int:
-        return int(self._retransmitted.value)
-
-    @property
-    def duplicate_messages(self) -> int:
-        return int(self._duplicates.value)
-
-    @property
-    def fault_events(self) -> int:
-        return int(self._faults.value)
-
-    @property
-    def arrivals_shed(self) -> int:
-        return self._shed_total
-
-    @property
-    def txns_lost_in_crash(self) -> int:
-        return int(self._lost_in_crash.value)
-
-    @property
-    def txns_deadline_cancelled(self) -> int:
-        return int(self._deadline_cancelled.value)
-
-    @property
-    def txns_reshipped(self) -> int:
-        return int(self._reshipped.value)
-
-    @property
-    def breaker_transitions(self) -> int:
-        return self._breaker_total
+        """A master refused authentication for an expired deadline."""
+        self._record("auth-deadline", (f"site-{site}",))
 
     # -- summary -------------------------------------------------------------
 
-    @property
-    def aborts_total(self) -> int:
-        return (self.aborts_deadlock + self.aborts_local_invalidated +
-                self.aborts_central_invalidated)
+    def counts(self) -> dict[str, int]:
+        """The :class:`SimulationResult` counter fields, read from the
+        registry families named by :data:`EVENTS`."""
+        counts = {}
+        for name, row in EVENTS.items():
+            family = self._families[name]
+            if row.field is not None:
+                counts[row.field] = int(family.total())
+            for value, field_name in row.split:
+                counts[field_name] = int(family.labels(value).value)
+        return counts
 
-    def freeze(self, *, total_rate: float, comm_delay: float, strategy: str,
-               seed: int, local_utilizations: list[float],
-               central_utilization: float,
-               mean_local_queue: float,
-               mean_central_queue: float,
-               telemetry: tuple["TelemetryWindow", ...] = (),
-               telemetry_interval: float = 0.0,
-               telemetry_windows_dropped: int = 0,
-               warmup_adequate: bool | None = None,
-               warmup_trend: dict[str, float] | None = None,
-               engine_events: int = 0,
-               engine_events_per_sec: float = 0.0,
-               engine_heap_peak: int = 0,
-               wall_clock_seconds: float = 0.0,
-               fault_episodes: tuple = (),
-               covariates: dict[str, float] | None = None,
-               covariate_means: dict[str, float] | None = None,
-               protocol: str = "optimistic",
-               ) -> SimulationResult:
-        """Produce the immutable result for this run."""
+    def freeze(self, *, local_utilizations: list[float],
+               central_utilization: float, mean_local_queue: float,
+               mean_central_queue: float, fault_episodes: tuple = (),
+               **fields) -> SimulationResult:
+        """Produce the immutable result for this run.
+
+        ``fields`` are the :class:`SimulationResult` fields the system
+        measures itself (rate, strategy, seed, telemetry, engine profile,
+        covariates, protocol); they pass through unchanged.
+        """
+        counts = self.counts()
         measured_time = max(self.env.now - self.warmup_time, 1e-12)
-        mean_local_util = (sum(local_utilizations) /
-                           len(local_utilizations)
-                           if local_utilizations else 0.0)
-        by_class = {cls: stat.mean
-                    for cls, stat in self.response_by_class.items()
-                    if stat.count}
-        by_kind = {kind: stat.mean
-                   for kind, stat in self.response_by_kind.items()
-                   if stat.count}
-        decomposition = _phase_means(self.phase_stats)
-        decomposition_by_class = {
-            cls: _phase_means(stats)
-            for cls, stats in self.phase_by_class.items()
-            if any(stat.count for stat in stats.values())}
-        decomposition_by_placement = {
-            placement: _phase_means(stats)
-            for placement, stats in self.phase_by_placement.items()
-            if any(stat.count for stat in stats.values())}
         recoveries = tuple(self.recoveries)
         durations = [record.duration for record in recoveries]
-        mttr = sum(durations) / len(durations) if durations else None
         episodes = tuple(fault_episodes)
-        mtbf = None
-        if episodes:
-            downtime = sum(max(episode.end - episode.start, 0.0)
-                           for episode in episodes)
-            uptime = max(self.env.now - downtime, 0.0)
-            mtbf = uptime / len(episodes)
+        downtime = sum(max(episode.end - episode.start, 0.0)
+                       for episode in episodes)
         return SimulationResult(
-            total_rate=total_rate,
-            comm_delay=comm_delay,
-            strategy=strategy,
-            seed=seed,
             mean_response_time=self.response_all.mean,
-            response_time_by_class=by_class,
-            response_time_by_kind=by_kind,
+            response_time_by_class={
+                cls: stat.mean for cls, stat
+                in self.response_by_class.items() if stat.count},
+            response_time_by_kind={
+                kind: stat.mean for kind, stat
+                in self.response_by_kind.items() if stat.count},
             response_time_percentiles=self.response_quantiles.summary(),
-            throughput=self.completed / measured_time,
-            completed=self.completed,
-            class_a_arrivals=self.class_a_arrivals,
-            class_a_shipped=self.class_a_shipped,
-            aborts_total=self.aborts_total,
-            aborts_deadlock=self.aborts_deadlock,
-            aborts_local_invalidated=self.aborts_local_invalidated,
-            aborts_central_invalidated=self.aborts_central_invalidated,
-            auth_negative_acks=self.auth_negative_acks,
-            mean_local_utilization=mean_local_util,
+            throughput=counts["completed"] / measured_time,
+            mean_local_utilization=(
+                sum(local_utilizations) / len(local_utilizations)
+                if local_utilizations else 0.0),
             mean_central_utilization=central_utilization,
             mean_local_queue_length=mean_local_queue,
             mean_central_queue_length=mean_central_queue,
-            messages_to_central=self.messages_to_central,
-            messages_to_sites=self.messages_to_sites,
-            response_time_decomposition=decomposition,
-            decomposition_by_class=decomposition_by_class,
-            decomposition_by_placement=decomposition_by_placement,
-            telemetry=telemetry,
-            telemetry_interval=telemetry_interval,
-            telemetry_windows_dropped=telemetry_windows_dropped,
-            warmup_adequate=warmup_adequate,
-            warmup_trend=dict(warmup_trend or {}),
-            engine_events=engine_events,
-            engine_events_per_sec=engine_events_per_sec,
-            engine_heap_peak=engine_heap_peak,
-            wall_clock_seconds=wall_clock_seconds,
-            txns_timed_out=self.txns_timed_out,
-            txns_failed_over=self.txns_failed_over,
-            txns_failed=self.txns_failed,
-            txns_cancelled_central=self.txns_cancelled_central,
-            fallback_routings=self.fallback_routings,
-            arrivals_rejected=self.arrivals_rejected,
-            messages_dropped=self.messages_dropped,
-            messages_retransmitted=self.messages_retransmitted,
-            duplicate_messages=self.duplicate_messages,
-            fault_events=self.fault_events,
+            response_time_decomposition=_phase_means(self.phase_stats),
+            decomposition_by_class=_decompositions(self.phase_by_class),
+            decomposition_by_placement=_decompositions(
+                self.phase_by_placement),
             fault_episodes=episodes,
-            arrivals_shed=self.arrivals_shed,
-            txns_lost_in_crash=self.txns_lost_in_crash,
-            txns_deadline_cancelled=self.txns_deadline_cancelled,
-            txns_reshipped=self.txns_reshipped,
-            breaker_transitions=self.breaker_transitions,
             failover_takeovers=sum(1 for record in recoveries
                                    if record.kind == "failover"),
             site_rejoins=sum(1 for record in recoveries
                              if record.kind == "rejoin"),
             recoveries=recoveries,
-            mttr=mttr,
-            mtbf=mtbf,
+            mttr=sum(durations) / len(durations) if durations else None,
+            mtbf=(max(self.env.now - downtime, 0.0) / len(episodes)
+                  if episodes else None),
             metrics=self.registry.snapshot(),
-            covariates=dict(covariates or {}),
-            covariate_means=dict(covariate_means or {}),
-            protocol=protocol,
-            protocol_counters=dict(self.protocol_event_counts),
+            protocol_counters={
+                event: int(child.value) for (event,), child
+                in self._families["protocol"].children.items()},
+            **counts,
+            **fields,
         )

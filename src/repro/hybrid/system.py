@@ -349,8 +349,9 @@ class HybridSystem:
         rate = workload.total_arrival_rate
         window = config.measure_time
         service = config.local_service_time
-        arrivals_a = float(self.metrics.class_a_arrivals)
-        arrivals_b = float(self.metrics.class_b_arrivals)
+        arrivals = self.registry.get("txn_arrivals")
+        arrivals_a = float(arrivals.labels("A").value)
+        arrivals_b = float(arrivals.labels("B").value)
         covariates = {
             "arrivals_a": arrivals_a,
             "arrivals_b": arrivals_b,

@@ -194,24 +194,11 @@ class TelemetrySampler:
         self.env = system.env
         self.interval = float(interval)
         self.series = TelemetrySeries(capacity)
-        metrics = system.metrics
-        self._last_counters = self._counters(metrics)
+        self._last_counts = system.metrics.counts()
         self._last_busy = self._busy_times()
         self.env.process(self._loop(), name="telemetry")
 
     # -- sampling ------------------------------------------------------------
-
-    @staticmethod
-    def _counters(metrics) -> dict[str, int]:
-        return {
-            "completed": metrics.completed,
-            "aborts": metrics.aborts_total,
-            "negative_acks": metrics.auth_negative_acks,
-            "class_a_arrivals": metrics.class_a_arrivals,
-            "shipped": metrics.class_a_shipped,
-            "messages": (metrics.messages_to_central +
-                         metrics.messages_to_sites),
-        }
 
     def _busy_times(self) -> tuple[float, float]:
         local = sum(site.cpu.busy_time() for site in self.system.sites)
@@ -229,10 +216,10 @@ class TelemetrySampler:
 
     def _snapshot(self, start: float, end: float) -> None:
         system = self.system
-        counters = self._counters(system.metrics)
-        delta = {key: counters[key] - self._last_counters[key]
-                 for key in counters}
-        self._last_counters = counters
+        counts = system.metrics.counts()
+        delta = {key: counts[key] - self._last_counts[key]
+                 for key in counts}
+        self._last_counts = counts
         local_busy, central_busy = self._busy_times()
         duration = max(end - start, 1e-12)
         n_sites = max(len(system.sites), 1)
@@ -247,11 +234,12 @@ class TelemetrySampler:
             start=start,
             end=end,
             completed=delta["completed"],
-            aborts=delta["aborts"],
-            negative_acks=delta["negative_acks"],
+            aborts=delta["aborts_total"],
+            negative_acks=delta["auth_negative_acks"],
             class_a_arrivals=delta["class_a_arrivals"],
-            shipped=delta["shipped"],
-            messages=delta["messages"],
+            shipped=delta["class_a_shipped"],
+            messages=(delta["messages_to_central"] +
+                      delta["messages_to_sites"]),
             n_local=system.n_local_total,
             n_central=system.n_central,
             local_queue=mean_local_queue,

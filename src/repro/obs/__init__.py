@@ -23,7 +23,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
 ]

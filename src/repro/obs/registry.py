@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NullRegistry", "NULL_REGISTRY"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 def _format_key(name: str, label_names: tuple[str, ...],
@@ -285,62 +284,3 @@ class MetricsRegistry:
         """Per-family totals (labels collapsed), sorted by name."""
         return {name: family.total()
                 for name, family in sorted(self._families.items())}
-
-
-class _NullInstrument:
-    """Accepts every instrument operation and records nothing."""
-
-    __slots__ = ()
-    value = 0
-    count = 0
-    total = 0.0
-
-    def inc(self, amount: int | float = 1) -> None:
-        return
-
-    def set(self, value: float) -> None:
-        return
-
-    def add(self, amount: float) -> None:
-        return
-
-    def observe(self, value: float) -> None:
-        return
-
-
-class _NullFamily:
-    __slots__ = ()
-    _INSTRUMENT = _NullInstrument()
-
-    def labels(self, *values) -> _NullInstrument:
-        return self._INSTRUMENT
-
-    @property
-    def single(self) -> _NullInstrument:
-        return self._INSTRUMENT
-
-    def total(self) -> float:
-        return 0.0
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry that drops everything (for fully detached runs)."""
-
-    _FAMILY = _NullFamily()
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def _family(self, name: str, kind: str, help: str,
-                labels: tuple[str, ...]):
-        return self._FAMILY
-
-    def snapshot(self) -> dict[str, float]:
-        return {}
-
-    def totals(self) -> dict[str, float]:
-        return {}
-
-
-#: Shared do-nothing registry (safe: it holds no state at all).
-NULL_REGISTRY = NullRegistry()

@@ -51,6 +51,11 @@ def test_total_arrival_rate():
     {"n_sites": 2, "lockspace": 40, "locks_per_txn": 41, "p_local": 0.0},
     {"n_sites": 2, "lockspace": 40, "locks_per_txn": 41, "p_local": 0.0,
      "p_b_local": 0.5},
+    # 0 < p_b_local < 1: each region must hold a whole reference string.
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 5, "p_local": 0.0,
+     "p_b_local": 0.5},
+    {"n_sites": 2, "lockspace": 41, "locks_per_txn": 21, "p_local": 0.0,
+     "p_b_local": 0.5},
 ])
 def test_invalid_params_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -65,7 +70,7 @@ def test_invalid_params_rejected(kwargs):
     {"n_sites": 10, "lockspace": 40, "locks_per_txn": 36, "p_local": 0.0,
      "p_b_local": 0.0},
     {"n_sites": 10, "lockspace": 40, "locks_per_txn": 40, "p_local": 0.0},
-    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 40, "p_local": 0.0,
+    {"n_sites": 10, "lockspace": 40, "locks_per_txn": 4, "p_local": 0.0,
      "p_b_local": 0.5},
 ])
 def test_reference_strings_at_the_limit_are_drawn(kwargs):
@@ -257,8 +262,9 @@ class NumpyTransactionFactory:
         entities: list[int] = []
         seen: set[int] = set()
         for _ in range(count):
+            home = self._ref_rng.random() < p_b_local
             while True:
-                if self._ref_rng.random() < p_b_local:
+                if home:
                     value = int(self._ref_rng.integers(home_low, home_high))
                 else:
                     # Uniform over the space excluding the home partition.
@@ -292,6 +298,41 @@ class NumpyTransactionFactory:
             references=references,
             arrival_time=now,
         )
+
+
+def _class_b_draws(p_b_local, n_txns=4_000, seed=4):
+    """``(home references, references, remote calls per txn)`` of
+    ``n_txns`` class B transactions spread over every site."""
+    params = WorkloadParams(p_local=0.0, p_b_local=p_b_local)
+    factory = TransactionFactory(params, RandomStreams(seed=seed))
+    home = 0
+    for index in range(n_txns):
+        site = index % params.n_sites
+        low, high = factory.partition.site_range(site)
+        txn = factory.make_transaction(site, 0.0)
+        home += sum(low <= entity < high for entity in txn.entities)
+    total = n_txns * params.locks_per_txn
+    return home, total, (total - home) / n_txns, params
+
+
+@pytest.mark.parametrize("p_b_local", [0.1, 0.3, 0.5, 0.8])
+def test_class_b_home_share_is_binomial(p_b_local):
+    """One locality toss per reference: the home count is
+    Binomial(references, p_b_local), so its share sits in a 4-sigma band
+    (the old re-tossing draw gave 0.323 at p = 0.3, about 7 sigma)."""
+    home, total, _, _ = _class_b_draws(p_b_local)
+    sigma = (p_b_local * (1.0 - p_b_local) / total) ** 0.5
+    assert abs(home / total - p_b_local) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("p_b_local", [0.3, 0.5])
+def test_class_b_remote_calls_match_expected(p_b_local):
+    _, _, remote_calls, params = _class_b_draws(p_b_local)
+    # Per-transaction remote calls are Binomial(locks, 1 - p).
+    stderr = (params.locks_per_txn * p_b_local * (1.0 - p_b_local)
+              / 4_000) ** 0.5
+    assert remote_calls == pytest.approx(params.expected_remote_calls,
+                                         abs=4.0 * stderr)
 
 
 def _drawn(txn):

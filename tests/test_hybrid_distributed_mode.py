@@ -118,7 +118,7 @@ def test_distributed_mode_drains_all_transactions():
         arrival.process.interrupt("stop")
     system.env.run(until=200.0)
     generated = sum(a.generated for a in system.arrivals)
-    assert system.metrics.completed == generated
+    assert system.metrics.counts()["completed"] == generated
     for site in system.sites:
         assert site.locks.total_locks_held() == 0
         assert not site._pending_remote_calls

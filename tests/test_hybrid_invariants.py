@@ -103,4 +103,4 @@ def test_completions_equal_generated_minus_none():
     """Committed count equals generated count after a full drain."""
     system = drained_system("none", total_rate=10.0, seed=13)
     generated = sum(a.generated for a in system.arrivals)
-    assert system.metrics.completed == generated
+    assert system.metrics.counts()["completed"] == generated

@@ -10,7 +10,7 @@ from repro.db import (
     TransactionClass,
     TransactionKind,
 )
-from repro.hybrid.metrics import MetricsCollector
+from repro.hybrid.metrics import EVENTS, MetricsCollector
 from repro.sim import Environment
 
 
@@ -41,7 +41,7 @@ def test_warmup_discards_observations(env):
     txn = make_txn()
     txn.complete(now=5.0)
     metrics.record_completion(txn)  # env.now == 0 < warmup
-    assert metrics.completed == 0
+    assert metrics.counts()["completed"] == 0
     assert metrics.response_all.count == 0
 
 
@@ -58,7 +58,7 @@ def test_completion_recorded_after_warmup(env):
     txn = make_txn(arrival=1.5)
     txn.complete(now=2.0)
     metrics.record_completion(txn)
-    assert metrics.completed == 1
+    assert metrics.counts()["completed"] == 1
     assert metrics.response_all.mean == pytest.approx(0.5)
 
 
@@ -67,8 +67,9 @@ def test_routing_counts_class_a_only(env):
     metrics.record_routing(make_txn(TransactionClass.A, Placement.LOCAL))
     metrics.record_routing(make_txn(TransactionClass.A, Placement.SHIPPED))
     metrics.record_routing(make_txn(TransactionClass.B, Placement.CENTRAL))
-    assert metrics.class_a_arrivals == 2
-    assert metrics.class_a_shipped == 1
+    counts = metrics.counts()
+    assert counts["class_a_arrivals"] == 2
+    assert counts["class_a_shipped"] == 1
 
 
 def test_abort_causes(env):
@@ -77,16 +78,24 @@ def test_abort_causes(env):
     metrics.record_abort(txn, "deadlock")
     metrics.record_abort(txn, "local-invalidated")
     metrics.record_abort(txn, "central-invalidated")
-    assert metrics.aborts_deadlock == 1
-    assert metrics.aborts_local_invalidated == 1
-    assert metrics.aborts_central_invalidated == 1
-    assert metrics.aborts_total == 3
+    counts = metrics.counts()
+    assert counts["aborts_deadlock"] == 1
+    assert counts["aborts_local_invalidated"] == 1
+    assert counts["aborts_central_invalidated"] == 1
+    assert counts["aborts_total"] == 3
 
 
 def test_unknown_abort_cause_rejected(env):
-    metrics = MetricsCollector(env, warmup_time=0.0)
-    with pytest.raises(ValueError):
-        metrics.record_abort(make_txn(), "cosmic-ray")
+    from repro.sim.trace import Tracer
+
+    # Checked on every call: inside the warm-up window as well.
+    for warmup_time in (0.0, 5.0):
+        tracer = Tracer()
+        metrics = MetricsCollector(env, warmup_time=warmup_time,
+                                   tracer=tracer)
+        with pytest.raises(ValueError, match="cosmic-ray"):
+            metrics.record_abort(make_txn(), "cosmic-ray")
+        assert tracer.records == []
 
 
 def test_message_counters(env):
@@ -94,8 +103,9 @@ def test_message_counters(env):
     metrics.record_message(to_central=True)
     metrics.record_message(to_central=True)
     metrics.record_message(to_central=False)
-    assert metrics.messages_to_central == 2
-    assert metrics.messages_to_sites == 1
+    counts = metrics.counts()
+    assert counts["messages_to_central"] == 2
+    assert counts["messages_to_sites"] == 1
 
 
 def test_freeze_summary(env):
@@ -137,10 +147,10 @@ def test_shipped_fraction_empty_is_zero(env):
 def test_negative_ack_counter(env):
     metrics = MetricsCollector(env, warmup_time=5.0)
     metrics.record_negative_ack()  # before warmup: ignored
-    assert metrics.auth_negative_acks == 0
+    assert metrics.counts()["auth_negative_acks"] == 0
     advance(env, 6.0)
     metrics.record_negative_ack()
-    assert metrics.auth_negative_acks == 1
+    assert metrics.counts()["auth_negative_acks"] == 1
 
 
 def test_negative_ack_trace_carries_txn_and_sites(env):
@@ -168,3 +178,212 @@ def test_record_message_emits_trace_details(env):
                              "site": 3}
     assert second.details["direction"] == "to-site"
     assert second.details["message"] == "auth-reply"
+
+
+# ---------------------------------------------------------------------------
+# The event table
+# ---------------------------------------------------------------------------
+
+def _message():
+    from repro.sim.network import Message
+
+    return Message(kind="txn", payload=None)
+
+
+def _shipped():
+    txn = make_txn(TransactionClass.A, Placement.SHIPPED)
+    txn.complete(now=0.5)
+    return txn
+
+
+#: One way to fire each row of ``EVENTS``.
+FIRE = {
+    "route": lambda m: m.record_routing(_shipped()),
+    "arrival": lambda m: m.record_routing(_shipped()),
+    "shipped": lambda m: m.record_routing(_shipped()),
+    "commit": lambda m: m.record_completion(_shipped()),
+    "spans": lambda m: m.record_completion(_shipped()),
+    "abort": lambda m: m.record_abort(_shipped(), "deadlock"),
+    "auth-round": lambda m: m.record_auth_round(True),
+    "message": lambda m: m.record_message(to_central=True),
+    "negative-ack": lambda m: m.record_negative_ack(_shipped(), (1,)),
+    "protocol": lambda m: m.record_protocol_event("prepare-sent"),
+    "fault": lambda m: m.record_fault("site-crash", "apply", site=1),
+    "timeout": lambda m: m.record_timeout(_shipped()),
+    "failover": lambda m: m.record_failover(_shipped()),
+    "txn-failed": lambda m: m.record_failure(_shipped(), "deadline"),
+    "cancel": lambda m: m.record_cancelled(_shipped()),
+    "fallback": lambda m: m.record_fallback_routing(_shipped(), "stale"),
+    "rejected": lambda m: m.record_rejected_arrival(_shipped()),
+    "drop": lambda m: m.record_drop(_message()),
+    "retransmit": lambda m: m.record_retransmit(_message()),
+    "duplicate": lambda m: m.record_duplicate(_message()),
+    "shed": lambda m: m.record_shed(_shipped(), node="site-0"),
+    "txn-lost": lambda m: m.record_lost_in_crash(_shipped()),
+    "deadline-cancel": lambda m: m.record_deadline_cancel(_shipped()),
+    "reship": lambda m: m.record_reship(_shipped()),
+    "breaker": lambda m: m.record_breaker(0, "open"),
+    "takeover": lambda m: m.record_takeover("takeover"),
+    "recovery": lambda m: m.record_recovery("failover", None, 1.0, 2.0),
+    "fenced": lambda m: m.record_fenced(0),
+    "auth-deadline": lambda m: m.record_auth_deadline_refusal(0),
+}
+
+#: Trace kinds a row's hook emits on behalf of a sibling row.
+SIBLING_KINDS = {"arrival": {"route"}, "shipped": {"route"},
+                 "commit": {"spans"}, "spans": {"commit"}}
+
+
+def test_every_row_has_a_hook_and_kinds_are_unique():
+    assert set(FIRE) == set(EVENTS)
+    kinds = [row.kind for row in EVENTS.values() if row.kind is not None]
+    assert len(kinds) == len(set(kinds)) == 22
+    families = [row.family for row in EVENTS.values()]
+    assert len(families) == len(set(families))
+
+
+@pytest.mark.parametrize("name", sorted(EVENTS))
+def test_event_row_traces_gates_and_counts(env, name):
+    from repro.sim.trace import Tracer
+
+    row = EVENTS[name]
+    tracer = Tracer()
+    metrics = MetricsCollector(env, warmup_time=5.0, tracer=tracer)
+    family = metrics.registry.get(row.family)
+    assert family.kind == row.instrument
+    assert family.label_names == row.labels
+
+    FIRE[name](metrics)  # inside the warm-up window
+    expected = SIBLING_KINDS.get(name, set()) | (
+        {row.kind} if row.kind is not None else set())
+    assert {record.kind for record in tracer.records} == expected
+    assert family.total() == (0 if row.gated else 1)
+
+    advance(env, 6.0)
+    FIRE[name](metrics)
+    assert family.total() == (1 if row.gated else 2)
+    if row.kind is not None:
+        # Traces are never gated.
+        assert sum(record.kind == row.kind
+                   for record in tracer.records) == 2
+
+    counts = metrics.counts()
+    if row.field is not None:
+        assert counts[row.field] == family.total()
+    for value, field_name in row.split:
+        assert counts[field_name] == family.labels(value).value
+
+
+def test_counts_are_simulation_result_fields(env):
+    from dataclasses import fields
+
+    from repro.hybrid.metrics import SimulationResult
+
+    counts = MetricsCollector(env, warmup_time=0.0).counts()
+    declared = {row.field for row in EVENTS.values() if row.field} | {
+        field_name for row in EVENTS.values()
+        for _, field_name in row.split}
+    assert set(counts) == declared
+    assert declared <= {field.name for field in fields(SimulationResult)}
+    assert all(value == 0 for value in counts.values())
+
+
+def test_freeze_reads_counters_and_protocol_counters_from_registry(env):
+    metrics = MetricsCollector(env, warmup_time=0.0)
+    metrics.record_shed(_shipped(), "site-0")
+    metrics.record_shed(_shipped(), "central")
+    metrics.record_breaker(3, "open")
+    for event in ("vote-granted", "prepare-sent", "vote-granted"):
+        metrics.record_protocol_event(event)
+    advance(env, 1.0)
+    result = metrics.freeze(
+        total_rate=1.0, comm_delay=0.2, strategy="t", seed=1,
+        local_utilizations=[], central_utilization=0.0,
+        mean_local_queue=0.0, mean_central_queue=0.0)
+    assert result.arrivals_shed == 2
+    assert result.breaker_transitions == 1
+    assert result.protocol_counters == {"vote-granted": 2,
+                                        "prepare-sent": 1}
+    assert list(result.protocol_counters) == ["vote-granted",
+                                              "prepare-sent"]
+    assert result.metrics["arrivals_shed{node=central}"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The hooks perfbench wraps by name
+# ---------------------------------------------------------------------------
+
+#: Hooks the benchmark's ledger wraps: it reads ``txn`` as the first
+#: argument of each and derives commits, aborts, retransmits and
+#: authentication rounds from their call counts.
+LEDGER_HOOKS = ("record_completion", "record_failure", "record_shed",
+                "record_rejected_arrival", "record_lost_in_crash",
+                "record_abort")
+COUNTED_HOOKS = ("record_retransmit", "record_auth_round")
+
+
+@pytest.mark.parametrize("hook", LEDGER_HOOKS + COUNTED_HOOKS)
+def test_benchmark_facing_hooks_are_class_functions(hook):
+    import inspect
+
+    function = MetricsCollector.__dict__[hook]
+    assert inspect.isfunction(function)
+    parameters = list(inspect.signature(function).parameters)
+    assert parameters[0] == "self"
+    if hook in LEDGER_HOOKS:
+        assert parameters[1] == "txn"
+
+
+def test_record_shed_takes_node_by_keyword_or_position(env):
+    metrics = MetricsCollector(env, warmup_time=0.0)
+    metrics.record_shed(_shipped(), node="site-0")
+    metrics.record_shed(_shipped(), "site-0")
+    family = metrics.registry.get("arrivals_shed")
+    assert family.labels("site-0").value == 2
+    assert metrics.counts()["arrivals_shed"] == 2
+
+
+def test_benchmark_facing_hooks_fire_once_per_event():
+    """Each counted event makes exactly one call to its hook, so a
+    ledger built from call counts agrees with the trace and registry."""
+    from collections import Counter
+    from unittest import mock
+
+    from repro.core import STRATEGIES
+    from repro.hybrid import HybridSystem, paper_config
+    from repro.sim.faults import resolve_fault_plan
+    from repro.sim.trace import Tracer
+
+    calls = Counter()
+
+    def counting(hook):
+        original = MetricsCollector.__dict__[hook]
+
+        def wrapper(*args, **kwargs):
+            calls[hook] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    hooks = LEDGER_HOOKS + COUNTED_HOOKS
+    config = paper_config(total_rate=18.0, warmup_time=0.0,
+                          measure_time=20.0, seed=5)
+    tracer = Tracer(max_records=None)
+    with mock.patch.multiple(MetricsCollector,
+                             **{hook: counting(hook) for hook in hooks}):
+        # Built inside the patch: the channels bind their callbacks then.
+        system = HybridSystem(
+            config, STRATEGIES["queue-length"](config), tracer=tracer,
+            fault_plan=resolve_fault_plan("breaker-flap", 0.0, 20.0))
+        result = system.run()
+    kinds = tracer.counts()
+    assert calls["record_completion"] == kinds["commit"]
+    assert calls["record_abort"] == kinds["abort"] > 0
+    assert calls["record_failure"] == kinds["txn-failed"] > 0
+    assert calls["record_shed"] == kinds.get("shed", 0)
+    assert calls["record_rejected_arrival"] == kinds.get("rejected", 0)
+    assert calls["record_lost_in_crash"] == kinds.get("txn-lost", 0)
+    assert calls["record_retransmit"] == kinds["retransmit"] > 0
+    assert calls["record_auth_round"] == sum(
+        value for key, value in result.metrics.items()
+        if key.startswith("auth_rounds{"))

@@ -158,7 +158,7 @@ def test_authentication_nak_on_inflight_update():
     shipped = make_txn([60, 61])
     shipped.route(Placement.SHIPPED)
 
-    naks_before = system.metrics.auth_negative_acks
+    naks_before = system.metrics.counts()["auth_negative_acks"]
 
     # Local commits around t~0.26 and its update needs ~0.4 s to be
     # acknowledged.  A central transaction authenticating on the same
@@ -169,7 +169,7 @@ def test_authentication_nak_on_inflight_update():
     env.run(until=20.0)
     assert local.completed_at is not None
     assert shipped.completed_at is not None
-    assert system.metrics.auth_negative_acks > naks_before
+    assert system.metrics.counts()["auth_negative_acks"] > naks_before
     assert shipped.run_count >= 2  # re-executed after the NAK
 
 

@@ -102,9 +102,10 @@ def test_conflict_stream_forces_reruns_then_commit():
     # ...and the cross-site contention resolved through at least one of
     # the protocol's three mechanisms (NAK, central invalidation, local
     # eviction), whichever the exact interleaving produced.
-    conflicts = (system.metrics.auth_negative_acks +
-                 system.metrics.aborts_central_invalidated +
-                 system.metrics.aborts_local_invalidated)
+    counts = system.metrics.counts()
+    conflicts = (counts["auth_negative_acks"] +
+                 counts["aborts_central_invalidated"] +
+                 counts["aborts_local_invalidated"])
     assert conflicts >= 1
     # The coherence machinery fully drained afterwards.
     assert site.locks.coherence_count(700) == 0

@@ -5,12 +5,10 @@ import math
 import pytest
 
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 
 
@@ -155,21 +153,6 @@ class TestRegistry:
         registry = MetricsRegistry(run="7")
         registry.counter("c", "c").single.inc()
         assert "run=7" in next(iter(registry.snapshot()))
-
-
-class TestNullRegistry:
-    def test_all_operations_are_noops(self):
-        registry = NullRegistry()
-        family = registry.counter("c", "c", labels=("k",))
-        family.single.inc()
-        family.labels("x").inc(5)
-        registry.gauge("g", "g").single.set(3)
-        registry.histogram("h", "h").single.observe(1.0)
-        assert registry.snapshot() == {}
-        assert registry.totals() == {}
-
-    def test_singleton_exists(self):
-        assert isinstance(NULL_REGISTRY, NullRegistry)
 
 
 def test_determinism_same_operations_same_snapshot():
