@@ -208,15 +208,15 @@ def test_bench_adaptive_replication_savings():
 
 
 def test_bench_variance_reduction_savings():
-    """CRN + control variates vs the plain fixed grid, to +-10%.
+    """Adaptive CRN vs the plain fixed grid, to +-10%.
 
     Runs a figure 4.2 slice (two strategies over three rates) three
-    ways -- the fixed 8-replication grid with flags off, the adaptive
-    scheduler with flags off, and the adaptive scheduler under common
-    random numbers with control variates -- and records all three into
+    ways -- the fixed 8-replication grid with CRN off, the adaptive
+    scheduler with CRN off, and the adaptive scheduler under common
+    random numbers -- and records all three into
     ``BENCH_variance.json``.  The headline claims enforced here:
 
-    * the CRN + CV run reaches the +-10% target with at least 2x fewer
+    * the CRN run reaches the +-10% target with at least 2x fewer
       replications than the fixed grid;
     * its point estimates agree with the fixed grid's within
       overlapping 95% confidence intervals (variance reduction must
@@ -244,8 +244,7 @@ def test_bench_variance_reduction_savings():
 
     vr_settings = PrecisionSettings(scale=scale, rel_precision=0.1,
                                     min_replications=2,
-                                    max_replications=8,
-                                    crn=True, control_variates=True)
+                                    max_replications=8, crn=True)
     started = time.perf_counter()
     reduced = run_adaptive_curve_set(entries, settings=vr_settings,
                                      workers=1)
@@ -258,7 +257,7 @@ def test_bench_variance_reduction_savings():
 
     # Headline claim: >= 2x fewer replications to the same target.
     assert reduced_reps * 2 <= fixed_reps, (
-        f"CRN+CV needed {reduced_reps} replications vs {fixed_reps} "
+        f"CRN needed {reduced_reps} replications vs {fixed_reps} "
         f"fixed -- less than the promised 2x saving")
     assert reduced.report.all_converged, reduced.report.summary()
 
@@ -268,11 +267,9 @@ def test_bench_variance_reduction_savings():
         budget = point_f.rt_half_width + point_r.rt_half_width
         assert gap <= budget, (
             f"estimates diverged at rate {point_f.total_rate}: "
-            f"fixed {point_f.mean_response_time:.4f} vs CRN+CV "
+            f"fixed {point_f.mean_response_time:.4f} vs CRN "
             f"{point_r.mean_response_time:.4f} (CI budget {budget:.4f})")
 
-    ratios = [p.variance_reduction for p in reduced_points
-              if p.variance_reduction is not None]
     record = {
         "benchmark": "figure_4_2_variance_reduction",
         "scale": scale,
@@ -285,15 +282,12 @@ def test_bench_variance_reduction_savings():
         "adaptive_plain_replications": plain.report.replications_total,
         "adaptive_plain_converged": sum(
             1 for p in plain.report.points if p.converged),
-        "crn_cv_replications": reduced_reps,
-        "crn_cv_converged": sum(
+        "crn_replications": reduced_reps,
+        "crn_converged": sum(
             1 for p in reduced.report.points if p.converged),
         "replication_ratio_vs_fixed": round(fixed_reps / reduced_reps, 3),
-        "mean_variance_reduction": round(sum(ratios) / len(ratios), 3)
-        if ratios else None,
-        "cv_points_used": sum(1 for r in ratios if r > 1.0),
         "fixed_seconds": round(fixed_seconds, 3),
-        "crn_cv_seconds": round(reduced_seconds, 3),
+        "crn_seconds": round(reduced_seconds, 3),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     target = REPO_ROOT / "BENCH_variance.json"

@@ -17,15 +17,7 @@ from .residual import (
     triangular_residual_mean,
     uniform_residual_mean,
 )
-from .variance import (
-    AnalyticCovariate,
-    PairedPointDelta,
-    make_analytic_covariate,
-    paired_curve_difference,
-    point_covariates,
-    result_covariates,
-    results_have_faults,
-)
+from .variance import PairedPointDelta, paired_curve_difference
 
 __all__ = [
     "CapacityBound",
@@ -44,11 +36,6 @@ __all__ = [
     "probability_local_outlives",
     "triangular_residual_mean",
     "uniform_residual_mean",
-    "AnalyticCovariate",
     "PairedPointDelta",
-    "make_analytic_covariate",
     "paired_curve_difference",
-    "point_covariates",
-    "result_covariates",
-    "results_have_faults",
 ]

@@ -1,174 +1,23 @@
-"""Variance-reduction glue: covariate assembly and paired curve deltas.
+"""Paired curve deltas: the estimator common random numbers sharpen.
 
-The statistical estimators live in :mod:`repro.sim.stats` (jackknifed
-control variates, paired-t differences); this module connects them to
-the experiment stack:
-
-* :func:`result_covariates` turns one
-  :class:`~repro.hybrid.metrics.SimulationResult`'s emitted covariates
-  into the ``name -> (observed, expected)`` rows a
-  :class:`~repro.sim.stats.ReplicationSummary` consumes;
-* :class:`AnalyticCovariate` adds the *external* covariate -- the
-  Section 3.1 fixed-point model's predicted response time, evaluated at
-  each replication's realised arrival rate (the same analytic-peer
-  pattern the verify suite uses, now put to work shrinking CIs);
-* :func:`point_covariates` combines both, with the fault guard that
-  keeps control variates out of runs whose covariate expectations no
-  longer hold (faults reject/shed arrivals, so the Poisson-count means
-  are wrong there);
-* :func:`paired_curve_difference` ranks two strategy curves rate by
-  rate with paired-t deltas -- the estimator that common random numbers
-  (:func:`repro.sim.rng.crn_seed`) exist to sharpen.
-
-Known-expectation catalogue
----------------------------
-
-``arrivals_a`` / ``arrivals_b`` are thinned-Poisson counts over the
-measurement window, so their means (``p_local * rate * T`` and
-``(1 - p_local) * rate * T``) are exact.  ``demand_seconds`` is the
-(currently deterministic) per-transaction service demand times the
-count -- exactly collinear with the counts today, kept in the catalogue
-for stochastic-workload futures; the least-squares adjustment tolerates
-the collinearity.  The analytic covariate's expectation is a *plug-in*:
-``E[h(realised rate)]`` is approximated by ``h(configured rate)``,
-exact only to first order (the second-order term is O(var/n) and
-strategy-symmetric, so it cancels from strategy comparisons).
+The paired-t estimator lives in :mod:`repro.sim.stats`
+(:func:`~repro.sim.stats.paired_difference`); this module connects it
+to the experiment stack.  :func:`paired_curve_difference` ranks two
+strategy curves rate by rate with paired-t deltas -- the estimator that
+common random numbers (:func:`repro.sim.rng.crn_seed`) exist to
+sharpen.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..sim.stats import PairedDifference, paired_difference
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..hybrid.config import SystemConfig
-    from ..hybrid.metrics import SimulationResult
-
 __all__ = [
-    "AnalyticCovariate",
-    "make_analytic_covariate",
-    "result_covariates",
-    "point_covariates",
-    "results_have_faults",
     "PairedPointDelta",
     "paired_curve_difference",
 ]
-
-#: Name under which the analytic model's prediction joins the catalogue.
-ANALYTIC_COVARIATE = "model_response_time"
-
-
-@dataclass(frozen=True)
-class AnalyticCovariate:
-    """The fixed-point model's RT prediction as an external covariate.
-
-    Built once per experiment point (the static optimisation behind
-    ``p_ship`` costs ~60 model solves); :meth:`observe` then maps each
-    replication's realised arrival count to a prediction.  ``p_ship`` is
-    the *static-optimal* shipping probability at the configured rate --
-    a strategy-free reference, so every strategy at this point shares
-    the same covariate definition and the adjustment never favours one
-    curve over another.
-    """
-
-    model: object
-    p_ship: float
-    rate_per_site: float
-    expected: float
-
-    def observe(self, result: "SimulationResult") -> float | None:
-        """Model prediction at this replication's realised rate.
-
-        The realised rate is the configured rate scaled by the ratio of
-        observed to expected arrivals (both already on the result);
-        ``None`` when the model fails to converge there or the
-        covariate inputs are missing -- the caller then drops the
-        analytic column for the whole point.
-        """
-        observed = (result.covariates.get("arrivals_a"),
-                    result.covariates.get("arrivals_b"))
-        expected = (result.covariate_means.get("arrivals_a"),
-                    result.covariate_means.get("arrivals_b"))
-        if None in observed or None in expected:
-            return None
-        total_expected = expected[0] + expected[1]
-        if total_expected <= 0:
-            return None
-        ratio = (observed[0] + observed[1]) / total_expected
-        estimate = self.model.evaluate(self.p_ship,
-                                       self.rate_per_site * ratio)
-        value = estimate.response_average
-        if not estimate.converged or not math.isfinite(value):
-            return None
-        return float(value)
-
-
-def make_analytic_covariate(
-        config: "SystemConfig") -> AnalyticCovariate | None:
-    """Build the analytic covariate for one point's configuration.
-
-    Returns ``None`` when the model saturates at this load (past the
-    knee the fixed point stops converging and the clamped prediction is
-    a constant -- worthless as a covariate and flagged accordingly).
-    """
-    from ..core.model import AnalyticModel
-    from ..core.static import optimize_static
-
-    model = AnalyticModel(config)
-    optimum = optimize_static(config)
-    estimate = optimum.estimates
-    if not estimate.converged or \
-            not math.isfinite(estimate.response_average):
-        return None
-    return AnalyticCovariate(
-        model=model, p_ship=optimum.p_ship,
-        rate_per_site=config.workload.arrival_rate_per_site,
-        expected=float(estimate.response_average))
-
-
-def results_have_faults(results: Sequence["SimulationResult"]) -> bool:
-    """True when any replication saw fault activity.
-
-    Faults reject, shed or destroy arrivals, so the Poisson-count
-    expectations emitted with the covariates no longer hold; control
-    variates must sit such runs out.
-    """
-    return any(r.fault_events or r.arrivals_rejected or r.arrivals_shed
-               or r.txns_lost_in_crash for r in results)
-
-
-def result_covariates(
-        result: "SimulationResult") -> dict[str, tuple[float, float]]:
-    """One replication's ``name -> (observed, expected)`` rows."""
-    return {name: (result.covariates[name], result.covariate_means[name])
-            for name in result.covariates
-            if name in result.covariate_means}
-
-
-def point_covariates(
-        results: Sequence["SimulationResult"],
-        analytic: AnalyticCovariate | None = None,
-) -> list[Mapping[str, tuple[float, float]]]:
-    """Covariate rows for every replication of one point.
-
-    The analytic column joins only if it is observable for *every*
-    replication (a per-replication gap would misalign the regression);
-    under fault activity all covariates are withheld and the caller
-    falls back to the plain estimator.
-    """
-    results = list(results)
-    if results_have_faults(results):
-        return [{} for _ in results]
-    rows = [result_covariates(result) for result in results]
-    if analytic is not None:
-        predictions = [analytic.observe(result) for result in results]
-        if all(value is not None for value in predictions):
-            for row, value in zip(rows, predictions):
-                row[ANALYTIC_COVARIATE] = (value, analytic.expected)
-    return rows
 
 
 @dataclass(frozen=True)

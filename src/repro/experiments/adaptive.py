@@ -18,12 +18,6 @@ Rounds are batched across *all* unconverged points of the whole curve
 set, so a process pool stays saturated while converged points drop out
 (the runner is held in incremental mode -- one pool across rounds).
 
-With ``settings.control_variates`` the convergence test in step 2 uses
-the regression-adjusted interval
-(:meth:`~repro.sim.stats.ReplicationSummary.adjusted_interval`), so
-variance the control variates explain away converts directly into
-replications never scheduled.
-
 Determinism
 -----------
 
@@ -46,11 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..hybrid.metrics import SimulationResult
-from ..sim.stats import (
-    ControlVariateEstimate,
-    IntervalEstimate,
-    ReplicationSummary,
-)
+from ..sim.stats import IntervalEstimate, ReplicationSummary
 from .cache import ResultCache
 from .parallel import JobSpec, ParallelRunner
 from .runner import (
@@ -59,7 +49,6 @@ from .runner import (
     StrategyBuilder,
     _assemble_point,
     _check_strategy,
-    _point_analytic,
     _replication_spec,
 )
 
@@ -78,29 +67,15 @@ class _PointTask:
     """Mutable per-point bookkeeping while the scheduler runs."""
 
     spec_for: Callable[[int], JobSpec]
-    control_variates: bool = False
-    analytic: object = None
     results: list[SimulationResult] = field(default_factory=list)
     converged: bool = False
 
-    def estimate(self, confidence: float) -> ControlVariateEstimate:
-        """The point's current estimate; the adjusted interval when
-        control variates are on (falling back to plain when the
-        adjustment is unsafe or not tighter), the plain t-interval
-        otherwise."""
-        rows = None
-        if self.control_variates:
-            from ..analysis.variance import point_covariates
-            rows = point_covariates(self.results, analytic=self.analytic)
-        summary = ReplicationSummary()
-        for index, result in enumerate(self.results):
-            summary.add_replication(
-                result.mean_response_time,
-                covariates=rows[index] if rows is not None else None)
-        return summary.adjusted_interval(confidence)
-
     def interval(self, confidence: float) -> IntervalEstimate:
-        return self.estimate(confidence).interval
+        """The point's current t-interval of the mean response time."""
+        summary = ReplicationSummary()
+        for result in self.results:
+            summary.add_replication(result.mean_response_time)
+        return summary.interval(confidence)
 
 
 @dataclass(frozen=True)
@@ -110,9 +85,6 @@ class ScheduledPoint:
     results: tuple[SimulationResult, ...]
     interval: IntervalEstimate
     converged: bool
-    #: Control-variate variance-reduction ratio (1.0 when the
-    #: adjustment was off, unsafe, or not tighter than plain).
-    variance_reduction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -125,9 +97,6 @@ class PointPrecision:
     half_width: float
     relative_half_width: float
     converged: bool
-    #: Control-variate variance-reduction ratio behind the half-widths
-    #: (1.0 when the adjustment was off or rejected).
-    variance_reduction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -196,26 +165,16 @@ class AdaptiveCurveSet:
 def schedule_adaptive(spec_factories: Sequence[Callable[[int], JobSpec]],
                       settings: PrecisionSettings,
                       runner: ParallelRunner,
-                      analytics: Sequence | None = None,
                       ) -> tuple[list[ScheduledPoint], int]:
     """Run the adaptive scheduling loop over abstract points.
 
     ``spec_factories[i]`` maps a replication index ``r`` to the
     :class:`JobSpec` of point ``i``'s replication ``r`` -- the curve-set
     and sensitivity harnesses supply different factories but share this
-    loop.  With ``settings.control_variates`` the convergence test uses
-    the regression-adjusted interval; ``analytics[i]`` optionally
-    supplies point ``i``'s external
-    :class:`~repro.analysis.variance.AnalyticCovariate`.  Returns the
-    per-point outcomes (in input order) and the number of rounds
-    submitted.
+    loop.  Returns the per-point outcomes (in input order) and the
+    number of rounds submitted.
     """
-    if analytics is None:
-        analytics = [None] * len(spec_factories)
-    tasks = [_PointTask(spec_for=factory,
-                        control_variates=settings.control_variates,
-                        analytic=analytic)
-             for factory, analytic in zip(spec_factories, analytics)]
+    tasks = [_PointTask(spec_for=factory) for factory in spec_factories]
     rounds = 0
     with runner:
         while True:
@@ -246,14 +205,10 @@ def schedule_adaptive(spec_factories: Sequence[Callable[[int], JobSpec]],
                 estimate = task.interval(settings.confidence)
                 if estimate.relative_half_width <= settings.rel_precision:
                     task.converged = True
-    outcomes = []
-    for task in tasks:
-        estimate = task.estimate(settings.confidence)
-        outcomes.append(ScheduledPoint(
-            results=tuple(task.results),
-            interval=estimate.interval,
-            converged=task.converged,
-            variance_reduction=estimate.variance_reduction))
+    outcomes = [ScheduledPoint(results=tuple(task.results),
+                               interval=task.interval(settings.confidence),
+                               converged=task.converged)
+                for task in tasks]
     return outcomes, rounds
 
 
@@ -288,32 +243,16 @@ def run_adaptive_curve_set(
                                      fault_plan=fault_plan)
         return make
 
-    # Strategy-free, so one build serves every curve at that rate; the
-    # fault guard in point_covariates disables CV under fault activity,
-    # but the analytic build itself is also skipped then (expectations
-    # would not hold).
-    analytic_by_rate: dict[float, object] = {}
-    if settings.control_variates and (
-            fault_plan is None or fault_plan.is_empty):
-        for _, _, rates in entries:
-            for rate in rates:
-                if rate not in analytic_by_rate:
-                    analytic_by_rate[rate] = _point_analytic(
-                        settings, rate, comm_delay, config_overrides)
-
     factories: list[Callable[[int], JobSpec]] = []
-    analytics: list[object] = []
     layout: list[tuple[str, list[float]]] = []
     for strategy, label, rates in entries:
         _check_strategy(strategy)
         for rate in rates:
             factories.append(spec_factory(strategy, rate))
-            analytics.append(analytic_by_rate.get(rate))
         layout.append((label, list(rates)))
 
     runner = ParallelRunner(workers=workers, cache=cache)
-    outcomes, rounds = schedule_adaptive(factories, settings, runner,
-                                         analytics=analytics)
+    outcomes, rounds = schedule_adaptive(factories, settings, runner)
 
     curves: list[Curve] = []
     precisions: list[PointPrecision] = []
@@ -324,16 +263,13 @@ def run_adaptive_curve_set(
             outcome = outcomes[cursor]
             cursor += 1
             points.append(_assemble_point(
-                rate, outcome.results, confidence=settings.confidence,
-                control_variates=settings.control_variates,
-                analytic=analytic_by_rate.get(rate)))
+                rate, outcome.results, confidence=settings.confidence))
             precisions.append(PointPrecision(
                 label=label, total_rate=rate,
                 n_replications=len(outcome.results),
                 half_width=outcome.interval.half_width,
                 relative_half_width=outcome.interval.relative_half_width,
-                converged=outcome.converged,
-                variance_reduction=outcome.variance_reduction))
+                converged=outcome.converged))
         curves.append(Curve(label=label, comm_delay=comm_delay,
                             points=tuple(points)))
 

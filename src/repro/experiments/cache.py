@@ -52,14 +52,15 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #: 2: SimulationResult gained the ``metrics`` registry-snapshot field.
 #: 3: stream-name key derivation fixed (full-digest spawn keys) -- every
 #:    sample path shifted, so pre-fix results are not comparable.
-#: 4: SimulationResult gained the control-variate ``covariates`` /
-#:    ``covariate_means`` fields; pre-bump pickles lack them and would
-#:    raise on attribute access.
+#: 4: SimulationResult gained two per-run regression-input fields;
+#:    pre-bump pickles lack them and would raise on attribute access.
 #: 5: SystemConfig gained the commit-protocol fields (``protocol`` /
 #:    ``epoch_interval``) and SimulationResult gained ``protocol`` /
 #:    ``protocol_counters``; pre-bump keys were derived without the new
 #:    config fields and pre-bump pickles lack the result fields.
-CACHE_VERSION = 5
+#: 6: SimulationResult lost the two fields version 4 added; pre-bump
+#:    pickles would restore them as stray attributes.
+CACHE_VERSION = 6
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

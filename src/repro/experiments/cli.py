@@ -6,7 +6,7 @@ Installed as ``hybriddb-experiment`` (see pyproject).  Examples::
     hybriddb-experiment --figure 4.2 --workers 4
     hybriddb-experiment --figure 4.4 --scale 0.5 --replications 2
     hybriddb-experiment --figure 4.2 --precision 0.05 --max-replications 16
-    hybriddb-experiment --figure 4.2 --precision 0.1 --crn --control-variates
+    hybriddb-experiment --figure 4.2 --precision 0.1 --crn
     hybriddb-experiment --figure all --scale 0.3 --workers 0
     hybriddb-experiment --figure 4.3 --csv fig43.csv
     hybriddb-experiment --figure 4.1 --no-cache
@@ -37,6 +37,7 @@ from ..sim.trace import Tracer
 from .cache import ResultCache, default_cache_dir
 from .export import write_figure_csv, write_telemetry, write_trace_jsonl
 from .figures import ALL_FIGURES
+from .parallel import resolve_workers
 from .report import curve_summary, execution_summary, figure_report, \
     point_report, run_report
 from .runner import PrecisionSettings, RunSettings, run_point, run_single
@@ -148,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "paths (sharpens strategy comparisons; "
                              "changes seeds and cache keys vs the "
                              "default seed+r scheme)")
-    parser.add_argument("--control-variates", action="store_true",
-                        help="regression-adjust each point's mean "
-                             "response time with known-expectation "
-                             "covariates (arrival counts, analytic-model "
-                             "prediction); tightens confidence intervals "
-                             "and, with --precision, cuts replications")
     parser.add_argument("--protocol", default="optimistic",
                         metavar="NAME",
                         help="commit protocol for every simulation "
@@ -213,14 +208,6 @@ def _run_figure(figure_id: str, settings: RunSettings,
                 for label, point in missed)
             print(f"[unconverged at cap {settings.max_replications}: "
                   f"{listing}]")
-        ratios = [point.variance_reduction for point in points
-                  if point.variance_reduction is not None
-                  and point.variance_reduction > 1.0]
-        if ratios:
-            mean_vrr = sum(ratios) / len(ratios)
-            print(f"[control variates: adjustment used on {len(ratios)}/"
-                  f"{len(points)} point(s), mean variance-reduction "
-                  f"{mean_vrr:.1f}x]")
 
 
 def _resolve_plan(args, settings: RunSettings):
@@ -389,15 +376,12 @@ def main(argv: list[str] | None = None) -> int:
             rel_precision=args.precision,
             min_replications=min_replications,
             max_replications=args.max_replications,
-            crn=args.crn, control_variates=args.control_variates,
-            protocol=args.protocol)
+            crn=args.crn, protocol=args.protocol)
     else:
         settings = RunSettings(replications=args.replications,
                                base_seed=args.seed, scale=args.scale,
-                               crn=args.crn,
-                               control_variates=args.control_variates,
-                               protocol=args.protocol)
-    workers = args.workers  # 0 -> auto-detect inside ParallelRunner
+                               crn=args.crn, protocol=args.protocol)
+    workers = resolve_workers(args.workers)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if (args.telemetry or args.trace_out or args.metrics_out or
             args.profile or args.hot_paths or args.audit or

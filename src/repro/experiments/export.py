@@ -50,8 +50,7 @@ FIELDS = [
     "figure", "curve", "comm_delay", "total_rate", "mean_response_time",
     "throughput", "shipped_fraction", "abort_rate", "local_utilization",
     "central_utilization", "n_replications", "rt_half_width",
-    "rt_relative_half_width", "variance_reduction", "availability",
-    "mttr",
+    "rt_relative_half_width", "availability", "mttr",
 ]
 
 
@@ -79,14 +78,11 @@ def curve_rows(curve: Curve, figure_id: str = "") -> list[dict[str, object]]:
     ``rt_relative_half_width``) record how many replications back each
     point and the achieved cross-replication confidence half-width --
     constant across a fixed grid, per-point under adaptive replication
-    control.  ``variance_reduction`` is the control-variate
-    variance-reduction ratio behind those half-widths; the cell is
-    empty on points assembled without control variates.
+    control.
     """
     rows = []
     for point in curve.points:
         availability, mttr = _recovery_columns(point)
-        variance_reduction = getattr(point, "variance_reduction", None)
         rows.append({
             "figure": figure_id,
             "curve": curve.label,
@@ -101,9 +97,6 @@ def curve_rows(curve: Curve, figure_id: str = "") -> list[dict[str, object]]:
             "n_replications": point.n_replications,
             "rt_half_width": point.rt_half_width,
             "rt_relative_half_width": point.rt_relative_half_width,
-            "variance_reduction": (variance_reduction
-                                   if variance_reduction is not None
-                                   else ""),
             "availability": availability,
             "mttr": mttr,
         })

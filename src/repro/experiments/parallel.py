@@ -10,8 +10,7 @@ while keeping the results **bit-identical** to serial execution:
   fully resolved :class:`~repro.hybrid.config.SystemConfig` (seed
   included, so the seeding discipline -- ``base_seed + r`` by default,
   the rate-keyed common-random-numbers hash under ``RunSettings.crn``
-  -- is preserved no matter which worker runs the job, and the
-  control-variate fields ride on the result under cache version 4);
+  -- is preserved no matter which worker runs the job);
 * results are reassembled in submission order, so averaging and curve
   construction see exactly the sequence the serial loop produced;
 * the two wall-clock profiling fields of a result
@@ -47,12 +46,25 @@ from ..hybrid.metrics import SimulationResult
 from .cache import ResultCache
 
 __all__ = ["JobSpec", "ParallelRunner", "default_workers",
-           "execute_job", "strategy_cache_key"]
+           "execute_job", "resolve_workers", "strategy_cache_key"]
 
 
 def default_workers() -> int:
     """Auto-detected worker count: one per available CPU."""
     return max(os.cpu_count() or 1, 1)
+
+
+def resolve_workers(workers: int | None) -> int:
+    """The process count a :class:`ParallelRunner` asked for ``workers``
+    actually uses: ``None`` or ``0`` auto-detect, and a single-CPU host
+    collapses any request to serial execution."""
+    if workers is None or workers == 0:
+        workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and (os.cpu_count() or 1) == 1:
+        workers = 1
+    return workers
 
 
 def strategy_cache_key(strategy: Any) -> str | None:
@@ -139,13 +151,7 @@ class ParallelRunner:
 
     def __init__(self, workers: int | None = 1,
                  cache: ResultCache | None = None):
-        if workers is None or workers == 0:
-            workers = default_workers()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers > 1 and (os.cpu_count() or 1) == 1:
-            workers = 1
-        self.workers = workers
+        self.workers = resolve_workers(workers)
         self.cache = cache
         #: Jobs satisfied from the cache / simulated, over this runner's
         #: lifetime (mirrors the cache's own counters but scoped here).

@@ -9,7 +9,8 @@ deterministic, but the *same* sample path recurs at every rate.  With
 :func:`repro.sim.rng.crn_seed`\\ ``(base_seed, rate_key, r)``: still
 strategy-free (every strategy at one rate shares sample paths, the
 common-random-numbers pairing that sharpens strategy comparisons) but
-decorrelated across rates and replications.
+decorrelated across rates and replications.  ``crn`` defaults off, so
+the default path is bit-identical to earlier releases.
 
 ``RunSettings.scale`` shortens or lengthens the simulated horizon
 uniformly, so the same experiment definitions serve quick smoke tests
@@ -25,16 +26,6 @@ confidence half-width reaches the target or a cap.  Seeding is the same
 deterministic function of ``(base_seed, rate, r)`` in fixed and
 adaptive mode alike, so adaptive runs stay bit-reproducible and every
 replication remains individually cacheable.
-
-``RunSettings.control_variates`` switches point assembly to the
-jackknifed control-variate estimator
-(:meth:`repro.sim.stats.ReplicationSummary.adjusted_interval`): the
-known-expectation covariates each replication emits (plus the analytic
-model's prediction, see :mod:`repro.analysis.variance`) regress away
-sampling noise, shrinking the confidence interval -- and, in adaptive
-mode, the replication count needed to reach the precision target.
-Both flags default off; the default path is bit-identical to earlier
-releases.
 """
 
 from __future__ import annotations
@@ -67,10 +58,8 @@ class RunSettings:
 
     ``crn`` derives replication seeds with :func:`repro.sim.rng.crn_seed`
     (strategy-free, rate-keyed: strategies share sample paths, rates and
-    replications do not); ``control_variates`` switches point assembly
-    to the regression-adjusted estimator.  Both default off, preserving
-    the historical ``base_seed + r`` seeds, point estimates and cache
-    keys bit-for-bit.
+    replications do not).  It defaults off, preserving the historical
+    ``base_seed + r`` seeds, point estimates and cache keys bit-for-bit.
     """
 
     warmup_time: float = 30.0
@@ -79,7 +68,6 @@ class RunSettings:
     base_seed: int = 7_001
     scale: float = 1.0
     crn: bool = False
-    control_variates: bool = False
     #: Commit protocol every configuration built through
     #: :meth:`config_for` runs under (a :mod:`repro.hybrid.protocols`
     #: name).  Threading it through the settings object means the whole
@@ -140,9 +128,7 @@ class PrecisionSettings(RunSettings):
     The inherited ``replications`` field is ignored in adaptive mode
     (the scheduler owns the count); seeding is unchanged -- replication
     ``r`` of a point uses :meth:`RunSettings.replication_seed` exactly
-    as the fixed grid does.  With ``control_variates`` the *adjusted*
-    interval drives the stopping rule, so variance removed by the
-    regression directly becomes replications not run.
+    as the fixed grid does.
     """
 
     rel_precision: float = 0.05
@@ -177,9 +163,7 @@ class PrecisionSettings(RunSettings):
         return RunSettings(
             warmup_time=self.warmup_time, measure_time=self.measure_time,
             replications=self.max_replications, base_seed=self.base_seed,
-            scale=self.scale, crn=self.crn,
-            control_variates=self.control_variates,
-            protocol=self.protocol)
+            scale=self.scale, crn=self.crn, protocol=self.protocol)
 
 
 @dataclass(frozen=True)
@@ -189,11 +173,6 @@ class CurvePoint:
     ``rt_interval`` is the cross-replication confidence interval of the
     mean response time, computed **once** during point assembly so the
     report/export layers can query the achieved precision freely.
-
-    ``variance_reduction`` is the control-variate variance-reduction
-    ratio ``(plain half-width / adjusted half-width)**2`` when the point
-    was assembled with ``control_variates`` (1.0 when the adjustment was
-    rejected as not strictly tighter), ``None`` on plain points.
     """
 
     total_rate: float
@@ -206,7 +185,6 @@ class CurvePoint:
     replications: tuple[SimulationResult, ...] = field(repr=False,
                                                        default=())
     rt_interval: IntervalEstimate | None = field(repr=False, default=None)
-    variance_reduction: float | None = field(repr=False, default=None)
 
     @property
     def n_replications(self) -> int:
@@ -327,45 +305,21 @@ def _point_specs(strategy: str | StrategyBuilder, total_rate: float,
 
 def _assemble_point(total_rate: float,
                     results: Sequence[SimulationResult],
-                    confidence: float = 0.95,
-                    control_variates: bool = False,
-                    analytic=None) -> CurvePoint:
+                    confidence: float = 0.95) -> CurvePoint:
     """Average one rate's replications into a curve point.
 
     The cross-replication interval is computed here, once, and stored on
     the point (``rt_interval``) so downstream report/export code never
     rebuilds the accumulator.
-
-    With ``control_variates`` the replications' known-expectation
-    covariates (optionally joined by ``analytic``, an
-    :class:`~repro.analysis.variance.AnalyticCovariate`) feed the
-    jackknifed regression adjustment: when it yields a strictly tighter
-    interval, the adjusted mean and interval replace the plain ones and
-    the point records the variance-reduction ratio; otherwise the plain
-    estimator stands (``variance_reduction`` 1.0).
     """
     results = list(results)
-    rows = None
-    if control_variates:
-        from ..analysis.variance import point_covariates
-        rows = point_covariates(results, analytic=analytic)
     summary = ReplicationSummary()
-    for index, result in enumerate(results):
-        summary.add_replication(
-            result.mean_response_time,
-            covariates=rows[index] if rows is not None else None)
-    mean_rt = _average([r.mean_response_time for r in results])
-    interval = summary.interval(confidence)
-    variance_reduction = None
-    if control_variates:
-        adjusted = summary.adjusted_interval(confidence)
-        interval = adjusted.interval
-        if adjusted.used:
-            mean_rt = adjusted.interval.mean
-        variance_reduction = adjusted.variance_reduction
+    for result in results:
+        summary.add_replication(result.mean_response_time)
     return CurvePoint(
         total_rate=total_rate,
-        mean_response_time=mean_rt,
+        mean_response_time=_average(
+            [r.mean_response_time for r in results]),
         throughput=_average([r.throughput for r in results]),
         shipped_fraction=_average([r.shipped_fraction for r in results]),
         abort_rate=_average([r.abort_rate for r in results]),
@@ -374,25 +328,8 @@ def _assemble_point(total_rate: float,
         central_utilization=_average(
             [r.mean_central_utilization for r in results]),
         replications=tuple(results),
-        rt_interval=interval,
-        variance_reduction=variance_reduction,
+        rt_interval=summary.interval(confidence),
     )
-
-
-def _point_analytic(settings: RunSettings, total_rate: float,
-                    comm_delay: float, config_overrides: dict):
-    """The analytic covariate for one point (``None`` when CV is off,
-    the model saturates at this load, or the optimiser cannot run on
-    this configuration)."""
-    if not settings.control_variates:
-        return None
-    from ..analysis.variance import make_analytic_covariate
-    try:
-        return make_analytic_covariate(
-            settings.config_for(total_rate, comm_delay,
-                                **config_overrides))
-    except (ValueError, ZeroDivisionError):
-        return None
 
 
 def run_point(strategy: str | StrategyBuilder, total_rate: float,
@@ -425,11 +362,7 @@ def run_point(strategy: str | StrategyBuilder, total_rate: float,
     runner = ParallelRunner(workers=workers, cache=cache)
     specs = _point_specs(strategy, total_rate, comm_delay, settings,
                          config_overrides, fault_plan=fault_plan)
-    return _assemble_point(
-        total_rate, runner.run_jobs(specs),
-        control_variates=settings.control_variates,
-        analytic=_point_analytic(settings, total_rate, comm_delay,
-                                 config_overrides))
+    return _assemble_point(total_rate, runner.run_jobs(specs))
 
 
 def run_single(strategy: str | StrategyBuilder, total_rate: float,
@@ -530,25 +463,13 @@ def run_curve_set(entries: Sequence[tuple[str | StrategyBuilder, str,
 
     results = ParallelRunner(workers=workers, cache=cache).run_jobs(specs)
 
-    # The analytic covariate is strategy-free, so one build serves every
-    # curve of the set at that rate.
-    analytic_by_rate: dict[float, object] = {}
-    if settings.control_variates:
-        for _, _, rates in entries:
-            for rate in rates:
-                if rate not in analytic_by_rate:
-                    analytic_by_rate[rate] = _point_analytic(
-                        settings, rate, comm_delay, config_overrides)
-
     curves: list[Curve] = []
     cursor = 0
     for strategy, label, rates, counts in layout:
         points = []
         for rate, count in zip(rates, counts):
             points.append(_assemble_point(
-                rate, results[cursor:cursor + count],
-                control_variates=settings.control_variates,
-                analytic=analytic_by_rate.get(rate)))
+                rate, results[cursor:cursor + count]))
             cursor += count
         curves.append(Curve(label=label, comm_delay=comm_delay,
                             points=tuple(points)))

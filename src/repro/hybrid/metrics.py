@@ -181,19 +181,6 @@ class SimulationResult:
     #: filtered alongside them by ``identity_dict(include_profile=False)``.
     metrics: dict[str, float] = field(default_factory=dict)
 
-    # -- control-variate extensions (defaulted for compatibility) ----------
-
-    #: Covariate observations with analytically known expectations,
-    #: emitted on every run (pure counter bookkeeping -- no extra RNG
-    #: draws, no trace events, so sample paths and golden traces are
-    #: untouched).  Keys: ``arrivals_a`` / ``arrivals_b`` (measured
-    #: thinned-Poisson arrival counts) and ``demand_seconds`` (summed
-    #: local service demand).  See :mod:`repro.analysis.variance`.
-    covariates: dict[str, float] = field(default_factory=dict)
-    #: The matching analytic expectations (``p_local * rate * T`` etc.),
-    #: computed from the configuration alone.
-    covariate_means: dict[str, float] = field(default_factory=dict)
-
     # -- commit-protocol extensions (defaulted for compatibility) ----------
 
     #: The commit protocol that produced this run (a name from
@@ -727,7 +714,7 @@ class MetricsCollector:
 
         ``fields`` are the :class:`SimulationResult` fields the system
         measures itself (rate, strategy, seed, telemetry, engine profile,
-        covariates, protocol); they pass through unchanged.
+        protocol); they pass through unchanged.
         """
         counts = self.counts()
         measured_time = max(self.env.now - self.warmup_time, 1e-12)

@@ -332,38 +332,6 @@ class HybridSystem:
         reg.gauge("engine_heap_peak",
                   "calendar peak depth").single.set(self.env.heap_peak)
 
-    def _covariate_snapshot(self) -> tuple[dict[str, float],
-                                           dict[str, float]]:
-        """Control-variate observations and their analytic expectations.
-
-        Pure arithmetic on already-collected counters and configuration
-        constants: no RNG draws, no trace events, no new simulation
-        behaviour -- so emitting these on every run leaves sample paths
-        and golden traces bit-identical.  The measured arrival counts
-        are thinned-Poisson over the measurement window, so their means
-        are exact; the summed service demand is deterministic per
-        transaction today (kept for stochastic-workload futures).
-        """
-        config = self.config
-        workload = config.workload
-        rate = workload.total_arrival_rate
-        window = config.measure_time
-        service = config.local_service_time
-        arrivals = self.registry.get("txn_arrivals")
-        arrivals_a = float(arrivals.labels("A").value)
-        arrivals_b = float(arrivals.labels("B").value)
-        covariates = {
-            "arrivals_a": arrivals_a,
-            "arrivals_b": arrivals_b,
-            "demand_seconds": (arrivals_a + arrivals_b) * service,
-        }
-        means = {
-            "arrivals_a": workload.p_local * rate * window,
-            "arrivals_b": (1.0 - workload.p_local) * rate * window,
-            "demand_seconds": rate * window * service,
-        }
-        return covariates, means
-
     # -- execution ----------------------------------------------------------
 
     def run(self) -> SimulationResult:
@@ -382,7 +350,6 @@ class HybridSystem:
             fault_episodes = episode_reports(
                 self.injector.applied, series.windows,
                 recoveries=self.metrics.recoveries)
-        covariates, covariate_means = self._covariate_snapshot()
         return self.metrics.freeze(
             total_rate=config.workload.total_arrival_rate,
             comm_delay=config.comm_delay,
@@ -407,8 +374,6 @@ class HybridSystem:
             engine_heap_peak=self.env.heap_peak,
             wall_clock_seconds=wall_clock,
             fault_episodes=fault_episodes,
-            covariates=covariates,
-            covariate_means=covariate_means,
         )
 
 

@@ -2,8 +2,8 @@
 
 ``hybriddb-bench`` pins the quantities this codebase cares about --
 kernel dispatch rate (events/sec), figure wall-clock, and the
-(simulation-deterministic) replications-to-converge of the
-variance-reduction machinery -- into JSON records sharing the
+(simulation-deterministic) replications-to-converge of adaptive
+replication control -- into JSON records sharing the
 ``BENCH_*.json`` schema (flat records
 with a ``benchmark`` key, parameters, measurements and a
 ``recorded_at`` stamp), then compares runs against a committed baseline
@@ -18,11 +18,6 @@ exit status 1 on any regression beyond tolerance.  Tolerances are
 deliberately generous (default +-30%) because shared CI runners are
 noisy; the gate exists to catch the 2x-and-worse accidents (an O(n)
 scan sneaking into the dispatch loop), not 5% drift.
-
-Layer benchmarks that are recorded but not gated (``gated=False``,
-today the reliable-channel ``channel_throughput`` and the
-transaction-draw ``workload_throughput``) run only when named
-with ``--bench`` and are never judged by ``compare``.
 
 ``--handicap F`` scales the measured timings by ``F`` after the run --
 a seeded slowdown that demonstrates the gate actually fails (used by
@@ -64,9 +59,6 @@ class BenchmarkDef:
     name: str
     metric: str
     description: str
-    #: False for a benchmark that is recorded only: it runs when named
-    #: and is never judged against a baseline.
-    gated: bool = True
 
 
 BENCHMARKS: dict[str, BenchmarkDef] = {
@@ -75,19 +67,6 @@ BENCHMARKS: dict[str, BenchmarkDef] = {
         description="raw kernel dispatch rate over a pure-DES event mix "
                     "(timeouts, immediate events, processes, resources, "
                     "interrupts -- no protocol code)"),
-    "channel_throughput": BenchmarkDef(
-        name="channel_throughput", metric="frames_per_sec",
-        description="reliable-channel frame rate: ReliableEndpoint "
-                    "pairs replaying the frame mix measured on a "
-                    "central-outage-failover run, outage and "
-                    "abandon() included (recorded, not gated)",
-        gated=False),
-    "workload_throughput": BenchmarkDef(
-        name="workload_throughput", metric="txns_per_sec",
-        description="transaction-draw rate: TransactionFactory and the "
-                    "per-site arrival samplers replaying the arrival "
-                    "mix of a contended run (recorded, not gated)",
-        gated=False),
     "system_throughput": BenchmarkDef(
         name="system_throughput", metric="events_per_sec",
         description="end-to-end dispatch rate of the canonical run: "
@@ -100,9 +79,9 @@ BENCHMARKS: dict[str, BenchmarkDef] = {
     "adaptive_convergence": BenchmarkDef(
         name="adaptive_convergence", metric="replications",
         description="replications needed to bring a seeded Figure 4.2 "
-                    "slice within +-10% under CRN + control variates "
-                    "(simulation-deterministic; guards the "
-                    "variance-reduction machinery)"),
+                    "slice within +-10% under common random numbers "
+                    "(simulation-deterministic; guards adaptive "
+                    "replication control)"),
 }
 
 
@@ -251,239 +230,6 @@ def _run_engine_throughput(scale: float, repeat: int,
     }
 
 
-#: The frame mix ``channel_workload`` replays, measured on the seed-1
-#: ``failover`` perfbench unit (two 85 s queue-length runs at 18 tps
-#: under ``central-outage-failover``, outage from 25 s to 41 s): the
-#: number of sites, and the data frames per simulated second each site
-#: sends (up), each central or standby sends back (down) and the
-#: primary ships to the standby over the log pair.
-CHANNEL_SITES = 10
-CHANNEL_UP_RATE = 5.2
-CHANNEL_DOWN_RATE = 8.8
-CHANNEL_LOG_RATE = 16.6
-#: The outage window as fractions of the 85 s run.
-CHANNEL_OUTAGE = (25.0 / 85.0, 41.0 / 85.0)
-#: Sites re-point to the standby (and abandon the primary) this long
-#: after the outage opens; the primary abandons its channels this long
-#: after it closes.
-CHANNEL_FAILOVER_DELAY = 2.21
-CHANNEL_PRIMARY_GIVE_UP = 1.21
-
-
-def channel_workload(horizon: float = 85.0):
-    """Build and run the reliable-channel benchmark mix.
-
-    Replays the frame mix of a ``central-outage-failover`` run (see
-    :data:`CHANNEL_SITES` and the rates beside it) with the retry
-    policy of the canned fault plans, over 0.2 s links:
-
-    * each site sends Poisson data frames to the primary central at
-      :data:`CHANNEL_UP_RATE` and gets :data:`CHANNEL_DOWN_RATE` back;
-      the primary ships :data:`CHANNEL_LOG_RATE` log frames to the
-      standby;
-    * every end pumps its inbound link, so each data frame is acked;
-    * during the outage the primary's links drop every frame and its
-      retransmission timers back off; the sites abandon the primary and
-      move their traffic to the standby, and the primary abandons its
-      channels once the outage is over.
-
-    Returns the environment, its links and its endpoints.
-    """
-    import random
-
-    from ..sim.engine import Environment
-    from ..sim.faults import RetryPolicy
-    from ..sim.network import Link, Message, ReliableEndpoint
-
-    env = Environment()
-    retry = RetryPolicy()
-    rng = random.Random(1)
-    outage_start, outage_end = (share * horizon
-                                for share in CHANNEL_OUTAGE)
-    failover_at = min(outage_start + CHANNEL_FAILOVER_DELAY, outage_end)
-    links, endpoints = [], []
-
-    def drain(inbound, endpoint):
-        while True:
-            endpoint.pump((yield inbound.mailbox.get()))
-
-    def channel(name):
-        """A link pair with a pumping endpoint at each end."""
-        ends = []
-        for direction in ("up", "down"):
-            link = Link(env, 0.2, name=f"{name}:{direction}")
-            links.append(link)
-            ends.append(ReliableEndpoint(
-                env, link, name=f"{name}:{direction}",
-                timeout=retry.message_timeout, backoff=retry.backoff,
-                max_timeout=retry.max_message_timeout))
-        endpoints.extend(ends)
-        env.process(drain(links[-2], ends[1]))
-        env.process(drain(links[-1], ends[0]))
-        return ends
-
-    def stream(rate, legs):
-        """Send at ``rate`` on each leg's endpoint (``None``: stay
-        silent) until that leg's end time."""
-        for until, endpoint in legs:
-            while True:
-                gap = rng.expovariate(rate)
-                if env.now + gap >= until:
-                    yield env.timeout(until - env.now)
-                    break
-                yield env.timeout(gap)
-                if endpoint is not None:
-                    endpoint.send(Message(kind="app"))
-
-    primaries = []
-    for site in range(CHANNEL_SITES):
-        site_end, central_end = channel(f"site-{site}")
-        primaries.append((site_end, central_end))
-        site_sb, standby_end = channel(f"site-{site}-sb")
-        env.process(stream(CHANNEL_UP_RATE, [(failover_at, site_end),
-                                             (horizon, site_sb)]))
-        env.process(stream(CHANNEL_DOWN_RATE, [
-            (outage_start, central_end), (failover_at, None),
-            (horizon, standby_end)]))
-    log_end, _ = channel("log")
-    env.process(stream(CHANNEL_LOG_RATE, [(outage_start, log_end)]))
-    primary_links = [end.out_link for pair in primaries for end in pair]
-    primary_links.append(log_end.out_link)
-
-    def outage():
-        yield env.timeout(outage_start)
-        for link in primary_links:
-            link.set_fault(drop_probability=1.0)
-        yield env.timeout(failover_at - env.now)
-        for site_end, _ in primaries:
-            site_end.abandon()
-        yield env.timeout(outage_end - env.now)
-        for link in primary_links:
-            link.clear_fault()
-        yield env.timeout(CHANNEL_PRIMARY_GIVE_UP)
-        for _, central_end in primaries:
-            central_end.abandon()
-        log_end.abandon()
-
-    env.process(outage())
-    env.run(until=horizon)
-    return env, links, endpoints
-
-
-def _run_channel_throughput(scale: float, repeat: int,
-                            handicap: float) -> dict:
-    """Best-of-``repeat`` reliable-channel frame rate.
-
-    A frame is one :meth:`Link.send` -- data, retransmission or ack;
-    every count is simulation-deterministic.  Scale 0.1 is one 85 s
-    run of the ``failover`` workload.
-    """
-    horizon = 850.0 * scale
-    best_rate = 0.0
-    for attempt in range(repeat):
-        began = time.perf_counter()
-        env, links, endpoints = channel_workload(horizon=horizon)
-        elapsed = time.perf_counter() - began
-        frames = sum(link.messages_sent for link in links)
-        rate = frames / elapsed if elapsed > 0 else 0.0
-        log.info("channel_throughput attempt %d/%d: %.0f frames/s",
-                 attempt + 1, repeat, rate)
-        best_rate = max(best_rate, rate)
-    acks = sum(end.acks_sent for end in endpoints)
-    retransmits = sum(end.retransmits for end in endpoints)
-    return {
-        "benchmark": "channel_throughput",
-        "scale": scale,
-        "repeat": repeat,
-        "horizon": horizon,
-        "frames": frames,
-        "data": frames - acks - retransmits,
-        "acks": acks,
-        "retransmits": retransmits,
-        "dropped": sum(link.messages_dropped for link in links),
-        "duplicates": sum(end.duplicates_discarded for end in endpoints),
-        "events": env.events_processed,
-        "frames_per_sec": round(best_rate / handicap, 1),
-        "seconds": round(frames / best_rate * handicap, 3)
-        if best_rate else 0.0,
-        "recorded_at": _utc_stamp(),
-    }
-
-
-#: The arrival mix of one seed-1 ``contended`` unit: six queue-length
-#: runs at 25 tps over 10 sites with a 2,000-entity lock space (the
-#: paper's defaults otherwise), which draw 3,622 transactions in all.
-WORKLOAD_RATE = 25.0
-WORKLOAD_LOCKSPACE = 2_000
-WORKLOAD_UNIT_ARRIVALS = 3_622
-
-
-def workload_draws(arrivals: int, seed: int = 1) -> dict:
-    """Draw ``arrivals`` transactions of the contended arrival mix.
-
-    Each site's Poisson stream comes from its own exponential sampler,
-    as in :class:`~repro.db.workload.ArrivalProcess`; the sites' next
-    arrivals are merged in time order and each one is drawn by the
-    system's single :class:`~repro.db.workload.TransactionFactory`.
-    No simulation runs, so the time is the draws' alone.  Returns the
-    simulation-deterministic counts of what was drawn.
-    """
-    import heapq
-
-    from ..db.workload import TransactionClass, TransactionFactory, \
-        WorkloadParams
-    from ..sim.rng import RandomStreams
-
-    params = WorkloadParams(
-        lockspace=WORKLOAD_LOCKSPACE,
-        arrival_rate_per_site=WORKLOAD_RATE / WorkloadParams.n_sites)
-    streams = RandomStreams(seed)
-    factory = TransactionFactory(params, streams)
-    samplers = [streams.exponential(f"arrivals-site-{site}",
-                                    params.site_rate(site))
-                for site in range(params.n_sites)]
-    pending = [(sampler(), site) for site, sampler in enumerate(samplers)]
-    heapq.heapify(pending)
-    class_a = references = 0
-    now = 0.0
-    for _ in range(arrivals):
-        now, site = pending[0]
-        txn = factory.make_transaction(site, now)
-        class_a += txn.txn_class is TransactionClass.A
-        references += len(txn.references)
-        heapq.heapreplace(pending, (now + samplers[site](), site))
-    return {"arrivals": arrivals, "class_a": class_a,
-            "references": references, "sim_seconds": round(now, 6)}
-
-
-def _run_workload_throughput(scale: float, repeat: int,
-                             handicap: float) -> dict:
-    """Best-of-``repeat`` transaction-draw rate.
-
-    Scale 0.1 draws one contended unit's 3,622 transactions.
-    """
-    arrivals = max(1, round(WORKLOAD_UNIT_ARRIVALS * scale / 0.1))
-    best_rate = 0.0
-    for attempt in range(repeat):
-        began = time.perf_counter()
-        counts = workload_draws(arrivals)
-        elapsed = time.perf_counter() - began
-        rate = arrivals / elapsed if elapsed > 0 else 0.0
-        log.info("workload_throughput attempt %d/%d: %.0f txns/s",
-                 attempt + 1, repeat, rate)
-        best_rate = max(best_rate, rate)
-    return {
-        "benchmark": "workload_throughput",
-        "scale": scale,
-        "repeat": repeat,
-        **counts,
-        "txns_per_sec": round(best_rate / handicap, 1),
-        "seconds": round(arrivals / best_rate * handicap, 3)
-        if best_rate else 0.0,
-        "recorded_at": _utc_stamp(),
-    }
-
-
 #: The canonical single-point run: queue-length routing at 18 tps with
 #: a 5 s warm-up and a 60 s measurement window (about 100k events).
 CANONICAL_RUN = {"strategy": "queue-length", "rate": 18.0,
@@ -552,16 +298,15 @@ def _run_figure(scale: float, repeat: int, handicap: float) -> dict:
 
 def _run_adaptive_convergence(scale: float, repeat: int,
                               handicap: float) -> dict:
-    """Replications-to-converge of a CRN + control-variate slice.
+    """Replications-to-converge of a common-random-numbers slice.
 
     Unlike the wall-clock benchmarks this metric is fully
     simulation-determined: the adaptive scheduler's replication count
     depends only on seeds and the estimators, so the gate band catches
-    *statistical* regressions (a broken covariate, a seed-derivation
-    change, an estimator that stopped tightening) rather than machine
-    noise.  ``repeat`` is ignored (re-runs are bit-identical) and
-    ``handicap`` multiplies the replication count so the CI gate
-    self-test stays meaningful.
+    *statistical* regressions (a seed-derivation change, an estimator
+    that stopped tightening) rather than machine noise.  ``repeat`` is
+    ignored (re-runs are bit-identical) and ``handicap`` multiplies the
+    replication count so the CI gate self-test stays meaningful.
     """
     from ..experiments.adaptive import run_adaptive_curve_set
     from ..experiments.runner import PrecisionSettings
@@ -570,7 +315,7 @@ def _run_adaptive_convergence(scale: float, repeat: int,
     rates = [15.0, 25.0, 30.0]
     settings = PrecisionSettings(
         scale=scale, rel_precision=0.1, min_replications=2,
-        max_replications=8, crn=True, control_variates=True)
+        max_replications=8, crn=True)
     outcome = run_adaptive_curve_set(
         [(name, name, list(rates)) for name in strategies],
         settings=settings, workers=1, cache=None)
@@ -593,8 +338,6 @@ def _run_adaptive_convergence(scale: float, repeat: int,
 
 _RUNNERS = {
     "engine_throughput": _run_engine_throughput,
-    "channel_throughput": _run_channel_throughput,
-    "workload_throughput": _run_workload_throughput,
     "system_throughput": _run_system_throughput,
     "figure_4_1": _run_figure,
     "adaptive_convergence": _run_adaptive_convergence,
@@ -603,11 +346,9 @@ _RUNNERS = {
 
 def run_benchmarks(names=None, scale: float = 0.1, repeat: int = 3,
                    handicap: float = 1.0) -> list[dict]:
-    """Execute the named benchmarks (every gated one by default);
-    returns records."""
-    selected = list(names) if names else sorted(
-        name for name, definition in BENCHMARKS.items()
-        if definition.gated)
+    """Execute the named benchmarks (every one by default); returns
+    records."""
+    selected = list(names) if names else sorted(BENCHMARKS)
     records = []
     for name in selected:
         if name not in _RUNNERS:
@@ -656,16 +397,14 @@ def compare_records(baseline: list[dict], current: list[dict],
 
     Records whose ``benchmark`` is not a gated one (e.g. the historical
     ``figure_4_2`` parallel-speedup snapshots that share the file
-    format, or a recorded-only layer benchmark) are ignored.  A
-    benchmark present in the baseline but absent from the current run
-    fails the gate -- silently losing coverage must be loud.
+    format) are ignored.  A benchmark present in the baseline but
+    absent from the current run fails the gate -- silently losing
+    coverage must be loud.
     """
-    gated = {name for name, definition in BENCHMARKS.items()
-             if definition.gated}
     by_name_base = {record["benchmark"]: record for record in baseline
-                    if record.get("benchmark") in gated}
+                    if record.get("benchmark") in BENCHMARKS}
     by_name_cur = {record["benchmark"]: record for record in current
-                   if record.get("benchmark") in gated}
+                   if record.get("benchmark") in BENCHMARKS}
     comparisons = []
     for name in sorted(set(by_name_base) | set(by_name_cur)):
         metric = BENCHMARKS[name].metric
@@ -794,14 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.handicap <= 0:
         print("error: --handicap must be positive", file=sys.stderr)
         return 2
-    if args.command == "gate":
-        ungated = sorted(name for name in args.bench or ()
-                         if not BENCHMARKS[name].gated)
-        if ungated:
-            print(f"error: {', '.join(ungated)} is recorded only and "
-                  f"has no gate; use 'run' to record it",
-                  file=sys.stderr)
-            return 2
     if args.handicap != 1.0:
         log.warning("handicap %.2fx applied: timings are deliberately "
                     "distorted (gate self-test mode)", args.handicap)

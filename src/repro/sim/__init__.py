@@ -22,7 +22,6 @@ from .rng import ExponentialSampler, RandomStreams, StreamReplay, \
     UniformIntSampler, crn_seed
 from .stats import (
     BatchMeans,
-    ControlVariateEstimate,
     IntervalEstimate,
     PairedDifference,
     ReplicationSummary,
@@ -54,7 +53,6 @@ __all__ = [
     "UniformIntSampler",
     "crn_seed",
     "BatchMeans",
-    "ControlVariateEstimate",
     "IntervalEstimate",
     "PairedDifference",
     "paired_difference",

@@ -10,9 +10,7 @@ simulation study:
 * :class:`BatchMeans` -- batch-means confidence intervals from a single
   long run (used after warm-up deletion).
 * :class:`ReplicationSummary` -- t-based confidence intervals across
-  independent replications (used by the experiment harness), optionally
-  tightened by a jackknifed linear control-variate adjustment
-  (:meth:`ReplicationSummary.adjusted_interval`).
+  independent replications (used by the experiment harness).
 * :func:`paired_difference` -- paired-t estimation of a strategy-vs-
   strategy delta when both strategies ran on common random numbers.
 * :class:`IntervalEstimate` -- a point estimate plus half-width.
@@ -34,9 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 __all__ = [
     "RunningStat",
@@ -44,10 +40,8 @@ __all__ = [
     "BatchMeans",
     "ReplicationSummary",
     "IntervalEstimate",
-    "ControlVariateEstimate",
     "PairedDifference",
     "paired_difference",
-    "control_variate_interval",
     "t_quantile",
 ]
 
@@ -278,124 +272,6 @@ def paired_difference(a: Sequence[float], b: Sequence[float],
                             variance_reduction=reduction, n_pairs=m)
 
 
-@dataclass(frozen=True)
-class ControlVariateEstimate:
-    """Outcome of a control-variate adjustment attempt.
-
-    ``interval`` is the estimate to *use*: the jackknifed
-    regression-adjusted interval when the adjustment engaged and
-    actually tightened the CI, otherwise the plain cross-replication
-    interval (``used`` records which).  ``variance_reduction`` is
-    ``var(plain mean) / var(adjusted mean)`` -- 1.0 whenever the
-    adjustment was skipped or rejected.
-    """
-
-    interval: IntervalEstimate
-    plain: IntervalEstimate
-    variance_reduction: float
-    used: bool
-    #: Covariates that entered the regression (after dropping
-    #: zero-variance columns); empty when the adjustment was skipped.
-    covariates: tuple[str, ...] = ()
-
-
-def _cv_theta(y: np.ndarray, centered: np.ndarray) -> float:
-    """Regression-adjusted mean of ``y`` given mean-deviation columns.
-
-    ``centered[r, j]`` is covariate ``j``'s observed value in
-    replication ``r`` minus its *known* expectation.  Least squares via
-    ``lstsq`` tolerates exactly collinear covariate columns (e.g. a
-    summed-demand column that is a multiple of the arrival counts): any
-    minimum-norm coefficient vector yields the same adjusted mean.
-    """
-    deviation = centered - centered.mean(axis=0)
-    beta, *_ = np.linalg.lstsq(deviation, y - y.mean(), rcond=None)
-    return float(y.mean() - centered.mean(axis=0) @ beta)
-
-
-def control_variate_interval(
-        values: Sequence[float],
-        covariates: Sequence[Mapping[str, tuple[float, float]]],
-        confidence: float = 0.95) -> ControlVariateEstimate:
-    """Jackknifed linear control-variate interval for the mean.
-
-    ``covariates[r]`` maps covariate names to ``(observed, expected)``
-    pairs for replication ``r``; the expectations must be analytically
-    known (Poisson arrival counts, deterministic demand sums, the
-    analytic model's plug-in prediction).  The regression coefficient is
-    estimated from the same replications it adjusts, which biases the
-    naive estimator; the jackknife (leave-one-out pseudo-values, the
-    Lavenberg-Welch construction) removes that first-order bias and
-    yields an honest t-interval on the pseudo-values.
-
-    Safety guards -- control variates can *inflate* variance when
-    replications are few or the covariate correlation is weak:
-
-    * covariate columns with zero sample variance are dropped;
-    * with fewer than ``k + 3`` replications, where ``k`` is the *rank*
-      of the centred covariate matrix (exactly collinear columns --
-      e.g. a demand sum that is a multiple of the arrival counts -- do
-      not consume degrees of freedom), the regression is not attempted
-      (returns the plain interval);
-    * if the jackknife half-width is not strictly tighter than the
-      plain one, the plain interval is returned (``used=False``).
-    """
-    n = len(values)
-    stat = RunningStat()
-    stat.extend(values)
-    plain = IntervalEstimate(
-        stat.mean, _t_half_width(stat.std if stat.std == stat.std else 0.0,
-                                 n, confidence), confidence, n)
-
-    def fallback() -> ControlVariateEstimate:
-        return ControlVariateEstimate(interval=plain, plain=plain,
-                                      variance_reduction=1.0, used=False)
-
-    if n < 3 or len(covariates) != n:
-        return fallback()
-    names = sorted(set.intersection(*(set(row) for row in covariates)))
-    if not names:
-        return fallback()
-    y = np.asarray(list(values), dtype=float)
-    observed = np.array([[row[name][0] for name in names]
-                         for row in covariates], dtype=float)
-    expected = np.array([[row[name][1] for name in names]
-                         for row in covariates], dtype=float)
-    if not (np.isfinite(y).all() and np.isfinite(observed).all()
-            and np.isfinite(expected).all()):
-        return fallback()
-    keep = [j for j in range(len(names))
-            if float(observed[:, j].std()) > 0.0]
-    if not keep:
-        return fallback()
-    names = tuple(names[j] for j in keep)
-    centered = observed[:, keep] - expected[:, keep]
-    rank = int(np.linalg.matrix_rank(centered - centered.mean(axis=0)))
-    if rank < 1 or n < rank + 3:
-        return fallback()
-
-    theta = _cv_theta(y, centered)
-    index = np.arange(n)
-    pseudo = np.empty(n)
-    for r in range(n):
-        rest = index != r
-        theta_r = _cv_theta(y[rest], centered[rest])
-        pseudo[r] = n * theta - (n - 1) * theta_r
-    mean = float(pseudo.mean())
-    std = float(pseudo.std(ddof=1))
-    if not (math.isfinite(mean) and math.isfinite(std)):
-        return fallback()
-    half = _t_half_width(std, n, confidence)
-    if half <= 0.0 or half >= plain.half_width:
-        return fallback()
-    adjusted = IntervalEstimate(mean, half, confidence, n)
-    reduction = (plain.half_width / half) ** 2 \
-        if plain.half_width > 0.0 else 1.0
-    return ControlVariateEstimate(interval=adjusted, plain=plain,
-                                  variance_reduction=reduction,
-                                  used=True, covariates=names)
-
-
 class RunningStat:
     """Welford's online mean/variance accumulator.
 
@@ -579,35 +455,16 @@ class ReplicationSummary:
     :meth:`interval` is memoised per confidence level (the adaptive
     replication scheduler and the report layer both query it repeatedly
     between additions); adding a replication invalidates the cache.
-
-    Replications may carry *control variates* -- quantities observed in
-    the same run whose expectations are analytically known (see
-    :func:`control_variate_interval`).  :meth:`adjusted_interval` then
-    returns the regression-adjusted estimate; without covariates it
-    degrades to the plain interval, so callers can use it
-    unconditionally.
     """
 
     def __init__(self) -> None:
         self._per_rep: list[float] = []
-        self._covariates: list[Mapping[str, tuple[float, float]]] = []
         self._intervals: dict[float, IntervalEstimate] = {}
-        self._adjusted: dict[float, ControlVariateEstimate] = {}
 
-    def add_replication(
-            self, value: float,
-            covariates: Mapping[str, tuple[float, float]] | None = None,
-    ) -> None:
-        """Record one replication's output (and optional covariates).
-
-        ``covariates`` maps names to ``(observed, expected)`` pairs;
-        only covariates present in *every* replication enter the
-        adjustment.
-        """
+    def add_replication(self, value: float) -> None:
+        """Record one replication's output."""
         self._per_rep.append(value)
-        self._covariates.append(dict(covariates or {}))
         self._intervals.clear()
-        self._adjusted.clear()
 
     @property
     def replications(self) -> Sequence[float]:
@@ -623,15 +480,4 @@ class ReplicationSummary:
                              stat.count, confidence)
         estimate = IntervalEstimate(stat.mean, half, confidence, stat.count)
         self._intervals[confidence] = estimate
-        return estimate
-
-    def adjusted_interval(
-            self, confidence: float = 0.95) -> ControlVariateEstimate:
-        """Control-variate-adjusted interval (plain when not applicable)."""
-        cached = self._adjusted.get(confidence)
-        if cached is not None:
-            return cached
-        estimate = control_variate_interval(
-            self._per_rep, self._covariates, confidence=confidence)
-        self._adjusted[confidence] = estimate
         return estimate

@@ -15,6 +15,7 @@ from repro.experiments import (
     sparkline,
 )
 from repro.experiments.cli import build_parser, main
+from repro.experiments.parallel import resolve_workers
 
 #: Tiny horizon so harness tests stay fast; statistical quality is
 #: exercised by the benchmarks, not here.
@@ -196,7 +197,7 @@ def test_cli_runs_figure_with_workers_and_cache(tmp_path, capsys):
             "--cache-dir", cache_dir]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert "2 worker(s)" in first
+    assert f"{resolve_workers(2)} worker(s)" in first
     assert "miss(es)" in first
     # Second run is satisfied entirely from the cache.
     assert main(argv) == 0
@@ -212,6 +213,17 @@ def test_cli_no_cache_flag_suppresses_cache_summary(capsys):
 
 def test_cli_rejects_negative_workers(capsys):
     assert main(["--figure", "4.1", "--workers", "-1"]) == 2
+
+
+def test_cli_trailer_reports_resolved_worker_count(monkeypatch, capsys):
+    # --workers 0 auto-detects; the trailer names the count that ran.
+    import repro.experiments.parallel as parallel_mod
+    monkeypatch.setattr(parallel_mod, "default_workers", lambda: 1)
+    assert main(["--figure", "4.1", "--scale", "0.05", "--workers", "0",
+                 "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert "1 worker(s)" in out
+    assert "0 worker(s)" not in out
 
 
 def test_cli_csv_export(tmp_path, capsys):

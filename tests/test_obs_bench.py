@@ -1,6 +1,5 @@
 """Unit tests for the perf-regression gate (``hybriddb-bench``)."""
 
-import functools
 import json
 
 import pytest
@@ -109,57 +108,6 @@ class TestRunBenchmarks:
         assert record["events"] == fair["events"]
         assert record["events_per_sec"] < fair["events_per_sec"]
 
-    def test_channel_throughput_record_schema(self):
-        (record,) = run_benchmarks(["channel_throughput"], scale=0.02,
-                                   repeat=1)
-        assert record["benchmark"] == "channel_throughput"
-        assert record["frames_per_sec"] > 0
-        assert record["frames"] == (record["data"] + record["acks"]
-                                    + record["retransmits"])
-        # As on a failover run: every data frame is acked, and the
-        # outage drops frames and forces retransmissions.
-        assert record["acks"] <= record["data"]
-        assert record["retransmits"] > 0 and record["dropped"] > 0
-        again = run_benchmarks(["channel_throughput"], scale=0.02,
-                               repeat=1)[0]
-        assert (again["frames"], again["events"]) == \
-            (record["frames"], record["events"])
-
-    def test_workload_throughput_record_schema(self):
-        (record,) = run_benchmarks(["workload_throughput"], scale=0.02,
-                                   repeat=1)
-        assert record["benchmark"] == "workload_throughput"
-        assert record["txns_per_sec"] > 0
-        assert record["arrivals"] == round(3_622 * 0.2)
-        assert record["references"] == 10 * record["arrivals"]
-        # About p_local = 0.75 of the draws are class A.
-        assert 0.65 < record["class_a"] / record["arrivals"] < 0.85
-        again = run_benchmarks(["workload_throughput"], scale=0.02,
-                               repeat=1)[0]
-        assert (again["class_a"], again["sim_seconds"]) == \
-            (record["class_a"], record["sim_seconds"])
-
-    def test_channel_throughput_is_recorded_not_gated(self, monkeypatch):
-        import repro.obs.bench as bench
-
-        ran = []
-
-        def stub(name, scale, repeat, handicap):
-            ran.append(name)
-            return {"benchmark": name}
-
-        monkeypatch.setattr(bench, "_RUNNERS", {
-            name: functools.partial(stub, name) for name in bench._RUNNERS})
-        run_benchmarks()
-        assert "channel_throughput" not in ran
-        assert "workload_throughput" not in ran
-        record = {"benchmark": "channel_throughput", "frames_per_sec": 1.0}
-        assert compare_records([record], [dict(record,
-                                                frames_per_sec=0.1)]) == []
-        record = {"benchmark": "workload_throughput", "txns_per_sec": 1.0}
-        assert compare_records([record], [dict(record,
-                                                txns_per_sec=0.1)]) == []
-
 
 @pytest.fixture
 def deterministic_engine_bench(monkeypatch):
@@ -252,24 +200,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "MISSING" not in out
-
-    def test_gate_rejects_a_recorded_only_benchmark(self, tmp_path,
-                                                    capsys, monkeypatch):
-        import repro.obs.bench as bench
-
-        def must_not_run(*args):
-            raise AssertionError("benchmark ran")
-
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps([_record()]))
-        for name in ("channel_throughput", "workload_throughput"):
-            monkeypatch.setitem(bench._RUNNERS, name, must_not_run)
-            code = main(["gate", "--baseline", str(baseline),
-                         "--bench", name])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert f"{name} is recorded only" in captured.err
-            assert "OK" not in captured.out
 
     @pytest.mark.parametrize("argv", [
         ["run", "--out", "x.json", "--scale", "0"],

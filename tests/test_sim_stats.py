@@ -17,7 +17,6 @@ from repro.sim import (
     TimeWeightedStat,
 )
 from repro.sim.stats import (
-    control_variate_interval,
     paired_difference,
     t_quantile,
 )
@@ -385,16 +384,13 @@ def test_interval_entry_points_reject_bad_confidence(confidence):
     batches.extend(values)
     summary = ReplicationSummary()
     for value in values:
-        summary.add_replication(value, {"cv": (value, 2.5)})
+        summary.add_replication(value)
     calls = [
         lambda: stat.interval(confidence),
         lambda: RunningStat().interval(confidence),
         lambda: batches.interval(confidence),
         lambda: summary.interval(confidence),
-        lambda: summary.adjusted_interval(confidence),
         lambda: paired_difference(values, values[::-1], confidence),
-        lambda: control_variate_interval(
-            values, [{"cv": (v, 2.5)} for v in values], confidence),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"confidence must be in \(0, 1\)"):

@@ -1,47 +1,27 @@
-"""Tests for the variance-reduction engine (PR 9).
+"""Tests for common random numbers and paired-strategy estimation.
 
-Covers the three tentpole pieces -- common random numbers, jackknifed
-control variates, paired-strategy estimation -- plus their wiring
-through the experiment stack, and the satellite behaviours (single-core
-pool fallback, unconverged-point surfacing, CSV column, CLI flags,
+Covers the seed derivation, the paired-difference estimator and their
+wiring through the experiment stack, plus the satellite behaviours
+(single-core pool fallback, unconverged-point surfacing, CLI flags,
 cache-version bump).
 """
 
-import math
-
 import pytest
 
-from repro.analysis.variance import (
-    ANALYTIC_COVARIATE,
-    make_analytic_covariate,
-    point_covariates,
-    result_covariates,
-    results_have_faults,
-)
-from repro.experiments.adaptive import (
-    AdaptiveReport,
-    PointPrecision,
-    run_adaptive_curve_set,
-)
+from repro.experiments.adaptive import run_adaptive_curve_set
 from repro.experiments.cache import CACHE_VERSION
 from repro.experiments.cli import build_parser
-from repro.experiments.export import FIELDS, curve_rows
 from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
-    CurvePoint,
     PrecisionSettings,
     RunSettings,
     _replication_spec,
     run_curve_set,
     run_point,
 )
-from repro.hybrid.config import WorkloadParams, paper_config
+from repro.hybrid.config import WorkloadParams
 from repro.sim.rng import crn_seed
-from repro.sim.stats import (
-    ReplicationSummary,
-    control_variate_interval,
-    paired_difference,
-)
+from repro.sim.stats import paired_difference
 
 QUICK = dict(warmup_time=6.0, measure_time=20.0)
 
@@ -132,113 +112,24 @@ def test_paired_curves_under_crn_flag_and_pair():
     assert deltas[0].difference.n_pairs == 2
 
 
-# -- control variates --------------------------------------------------------
+# -- M/D/1 oracle ----------------------------------------------------------
 
-def test_control_variate_interval_tightens_synthetic_data():
-    # y = 5 + 0.5 * (c - E[c]) + tiny noise; the covariate explains
-    # nearly all variance.
-    observed = [9.0, 11.5, 10.2, 8.4, 12.1, 9.8, 10.9, 9.3]
-    tiny = [0.01, -0.02, 0.015, -0.01, 0.005, -0.015, 0.02, -0.005]
-    values = [5.0 + 0.5 * (c - 10.0) + e for c, e in zip(observed, tiny)]
-    rows = [{"count": (c, 10.0)} for c in observed]
-    estimate = control_variate_interval(values, rows)
-    assert estimate.used
-    assert estimate.covariates == ("count",)
-    assert estimate.variance_reduction > 10.0
-    assert estimate.interval.half_width < estimate.plain.half_width
-    assert estimate.interval.mean == pytest.approx(5.0, abs=0.05)
-
-
-def test_control_variate_collinear_columns_share_rank():
-    # An exactly collinear duplicate must not consume degrees of
-    # freedom (rank-based guard) nor change the adjusted estimate.
-    observed = [9.0, 11.5, 10.2, 8.4, 12.1]
-    tiny = [0.01, -0.02, 0.015, -0.01, 0.005]
-    values = [5.0 + 0.5 * (c - 10.0) + e for c, e in zip(observed, tiny)]
-    single = [{"count": (c, 10.0)} for c in observed]
-    doubled = [{"count": (c, 10.0), "twice": (2 * c, 20.0)}
-               for c in observed]
-    one = control_variate_interval(values, single)
-    two = control_variate_interval(values, doubled)
-    assert one.used and two.used
-    assert two.interval.mean == pytest.approx(one.interval.mean)
-
-
-def test_control_variate_guards_fall_back_to_plain():
-    # Too few replications for the rank -> plain interval, untouched.
-    rows = [{"count": (c, 10.0)} for c in (9.0, 11.0, 10.5)]
-    estimate = control_variate_interval([1.0, 2.0, 1.5], rows)
-    assert not estimate.used
-    assert estimate.variance_reduction == 1.0
-    assert estimate.interval == estimate.plain
-    # No covariates at all -> same fallback.
-    bare = control_variate_interval([1.0, 2.0, 1.5, 2.5], [{}] * 4)
-    assert not bare.used
-
-
-def test_replication_summary_adjusted_interval_integration():
-    summary = ReplicationSummary()
-    observed = [9.0, 11.5, 10.2, 8.4, 12.1, 9.8]
-    for c in observed:
-        summary.add_replication(5.0 + 0.5 * (c - 10.0),
-                                covariates={"count": (c, 10.0)})
-    adjusted = summary.adjusted_interval()
-    assert adjusted.used
-    assert adjusted.interval.half_width < summary.interval().half_width
-
-
-def test_control_variates_unbiased_on_md1_oracle():
-    """Adjusted estimator agrees with M/D/1 theory on the degenerate
+def test_crn_point_unbiased_on_md1_oracle():
+    """A CRN-seeded point agrees with M/D/1 theory on the degenerate
     single-site regime (rho = 0.6, deterministic 0.15 s service):
     W = S + rho*S / (2*(1-rho)) = 0.2625 s."""
     workload = WorkloadParams(n_sites=1, lockspace=1024, locks_per_txn=0,
                               p_local=1.0, arrival_rate_per_site=4.0)
     theory = 0.15 + 0.6 * 0.15 / (2 * 0.4)
     settings = RunSettings(warmup_time=20.0, measure_time=120.0,
-                           replications=6, crn=True,
-                           control_variates=True)
+                           replications=6, crn=True)
     point = run_point("none", 4.0, settings=settings,
                       workload=workload, io_initial=0.0,
                       io_per_db_call=0.0, instr_commit=0)
-    assert point.variance_reduction is not None
     tolerance = point.rt_half_width + 0.10 * theory
     assert abs(point.mean_response_time - theory) <= tolerance, (
-        f"adjusted mean {point.mean_response_time:.4f} vs theory "
+        f"mean {point.mean_response_time:.4f} vs theory "
         f"{theory:.4f} (tolerance {tolerance:.4f})")
-
-
-def test_covariates_on_simulation_result_match_config():
-    config = paper_config(total_rate=20.0, warmup_time=5.0,
-                          measure_time=15.0)
-    from repro.core import STRATEGIES
-    from repro.hybrid.system import HybridSystem
-    result = HybridSystem(config, STRATEGIES["none"](config)).run()
-    rows = result_covariates(result)
-    assert set(rows) == {"arrivals_a", "arrivals_b", "demand_seconds"}
-    workload = config.workload
-    expected_a = workload.p_local * workload.total_arrival_rate * \
-        config.measure_time
-    assert rows["arrivals_a"][1] == pytest.approx(expected_a)
-    # The observed counts are the measured-window arrivals: integers.
-    assert rows["arrivals_a"][0] == int(rows["arrivals_a"][0])
-    assert rows["demand_seconds"][0] == pytest.approx(
-        (rows["arrivals_a"][0] + rows["arrivals_b"][0]) *
-        config.local_service_time)
-    assert not results_have_faults([result])
-
-
-def test_point_covariates_adds_analytic_column():
-    config = paper_config(total_rate=20.0, warmup_time=5.0,
-                          measure_time=15.0)
-    analytic = make_analytic_covariate(config)
-    assert analytic is not None
-    from repro.core import STRATEGIES
-    from repro.hybrid.system import HybridSystem
-    result = HybridSystem(config, STRATEGIES["none"](config)).run()
-    rows = point_covariates([result], analytic=analytic)
-    assert ANALYTIC_COVARIATE in rows[0]
-    observed, expected = rows[0][ANALYTIC_COVARIATE]
-    assert math.isfinite(observed) and expected == analytic.expected
 
 
 # -- default-off safety ------------------------------------------------------
@@ -246,23 +137,22 @@ def test_point_covariates_adds_analytic_column():
 def test_flags_off_point_is_plain():
     settings = RunSettings(replications=2, scale=0.2, **QUICK)
     point = run_point("none", 12.0, settings=settings)
-    assert point.variance_reduction is None
     assert [r.seed for r in point.replications] == [7_001, 7_002]
 
 
 def test_cache_version_bumped_for_covariate_fields():
     # SimulationResult gained covariates/covariate_means at version 4
-    # (and the commit-protocol fields at 5); pre-bump pickles lack them
-    # and must not be read back.
-    assert CACHE_VERSION >= 4
+    # and lost them again at 6; pickles of either schema must not be
+    # read back.
+    assert CACHE_VERSION == 6
 
 
 # -- adaptive integration ----------------------------------------------------
 
-def test_adaptive_reports_variance_reduction_and_unconverged():
+def test_adaptive_reports_unconverged_points():
     settings = PrecisionSettings(scale=0.2, rel_precision=0.0,
                                  min_replications=2, max_replications=2,
-                                 crn=True, control_variates=True, **QUICK)
+                                 crn=True, **QUICK)
     outcome = run_adaptive_curve_set([("none", "none", [12.0])],
                                      settings=settings)
     report = outcome.report
@@ -271,16 +161,14 @@ def test_adaptive_reports_variance_reduction_and_unconverged():
     assert report.unconverged_points == report.points
     assert "unconverged at cap" in report.summary()
     assert "none@12" in report.summary()
-    assert report.points[0].variance_reduction >= 1.0
-    assert outcome.curves[0].points[0].variance_reduction is not None
 
 
 def test_precision_settings_defaults_and_fixed_equivalent():
-    settings = PrecisionSettings(crn=True, control_variates=True)
+    settings = PrecisionSettings(crn=True)
     assert settings.max_replications == 24
     fixed = settings.fixed_equivalent()
     assert fixed.replications == 24
-    assert fixed.crn and fixed.control_variates
+    assert fixed.crn
 
 
 # -- satellite behaviours ----------------------------------------------------
@@ -294,30 +182,11 @@ def test_parallel_runner_single_core_fallback(monkeypatch):
     assert ParallelRunner(workers=4).workers == 4
 
 
-def test_export_variance_reduction_column():
-    assert "variance_reduction" in FIELDS
-    from repro.experiments.runner import Curve
-    plain = CurvePoint(total_rate=10.0, mean_response_time=1.0,
-                       throughput=10.0, shipped_fraction=0.0,
-                       abort_rate=0.0, local_utilization=0.5,
-                       central_utilization=0.1)
-    adjusted = CurvePoint(total_rate=20.0, mean_response_time=1.2,
-                          throughput=20.0, shipped_fraction=0.1,
-                          abort_rate=0.0, local_utilization=0.7,
-                          central_utilization=0.2,
-                          variance_reduction=3.5)
-    curve = Curve(label="x", comm_delay=0.2, points=(plain, adjusted))
-    rows = curve_rows(curve, figure_id="t")
-    assert set(rows[0]) == set(FIELDS)
-    assert rows[0]["variance_reduction"] == ""
-    assert rows[1]["variance_reduction"] == 3.5
-
-
 def test_cli_flags_thread_into_settings():
     parser = build_parser()
     args = parser.parse_args(["--figure", "4.2", "--precision", "0.1",
-                              "--crn", "--control-variates"])
-    assert args.crn and args.control_variates
+                              "--crn"])
+    assert args.crn
     assert args.max_replications == 24
     defaults = parser.parse_args(["--figure", "4.2"])
-    assert not defaults.crn and not defaults.control_variates
+    assert not defaults.crn
