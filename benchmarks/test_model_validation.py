@@ -8,15 +8,19 @@ tight enough to make the static optimiser and the dynamic estimates
 meaningful.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_SCALE, run_once
 
 from repro.experiments import validate_model
+from repro.experiments.validation import VALIDATION_SETTINGS
 
 
 def test_model_tracks_simulator(benchmark):
-    report = run_once(benchmark, lambda: validate_model(
-        warmup_time=25.0 * BENCH_SCALE + 5.0,
-        measure_time=75.0 * BENCH_SCALE + 15.0))
+    settings = replace(VALIDATION_SETTINGS,
+                       warmup_time=25.0 * BENCH_SCALE + 5.0,
+                       measure_time=75.0 * BENCH_SCALE + 15.0)
+    report = run_once(benchmark, lambda: validate_model(settings=settings))
     print()
     print(report.to_table())
     print(f"\n  mean |error| = {report.mean_abs_error:.1%}, "

@@ -6,19 +6,25 @@ the number of sites.  Each bench sweeps one of these and asserts the
 direction of the dependency.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments.sensitivity import sweep_parameter
+from repro.experiments.sensitivity import (
+    SENSITIVITY_SETTINGS,
+    sweep_parameter,
+)
 
-WARMUP = 20.0 * BENCH_SCALE + 5.0
-MEASURE = 60.0 * BENCH_SCALE + 10.0
+SETTINGS = replace(SENSITIVITY_SETTINGS,
+                   warmup_time=20.0 * BENCH_SCALE + 5.0,
+                   measure_time=60.0 * BENCH_SCALE + 10.0)
 
 
 def test_sensitivity_central_mips(benchmark):
     """More central MIPS -> ship more, perform better."""
     sweep = run_once(benchmark, lambda: sweep_parameter(
         "central_mips", [8.0, 15.0, 30.0],
-        warmup_time=WARMUP, measure_time=MEASURE))
+        settings=SETTINGS))
     print()
     print(sweep.to_table())
     p_ships = sweep.optimal_p_ships()
@@ -33,7 +39,7 @@ def test_sensitivity_p_local(benchmark):
     """A larger class A fraction gives load sharing more headroom."""
     sweep = run_once(benchmark, lambda: sweep_parameter(
         "p_local", [0.6, 0.75, 0.9],
-        warmup_time=WARMUP, measure_time=MEASURE))
+        settings=SETTINGS))
     print()
     print(sweep.to_table())
     # With more class B (p_local = 0.6) the central site carries a
@@ -47,7 +53,7 @@ def test_sensitivity_n_sites(benchmark):
     """Fewer, relatively-stronger regions change the sharing calculus."""
     sweep = run_once(benchmark, lambda: sweep_parameter(
         "n_sites", [5, 10, 20],
-        warmup_time=WARMUP, measure_time=MEASURE))
+        settings=SETTINGS))
     print()
     print(sweep.to_table())
     # At constant total rate and 1 MIPS per site, fewer sites mean more
@@ -63,7 +69,7 @@ def test_sensitivity_comm_delay(benchmark):
     """The evaluation's own axis, swept more finely."""
     sweep = run_once(benchmark, lambda: sweep_parameter(
         "comm_delay", [0.1, 0.2, 0.5, 0.8],
-        warmup_time=WARMUP, measure_time=MEASURE))
+        settings=SETTINGS))
     print()
     print(sweep.to_table())
     # Larger delays penalise shipping: optimal static fraction falls.

@@ -18,6 +18,13 @@ Rounds are batched across *all* unconverged points of the whole curve
 set, so a process pool stays saturated while converged points drop out
 (the runner is held in incremental mode -- one pool across rounds).
 
+:func:`schedule_adaptive` is the only replication scheduler: every
+experiment entry point (curve sets, points, sensitivity, availability,
+validation) hands it one job factory per point.  A fixed
+:class:`~repro.experiments.runner.RunSettings` is its one-round case:
+``replications`` jobs per point in a single batch, point-major and
+replication-minor.
+
 Determinism
 -----------
 
@@ -46,10 +53,9 @@ from .parallel import JobSpec, ParallelRunner
 from .runner import (
     Curve,
     PrecisionSettings,
+    RunSettings,
     StrategyBuilder,
-    _assemble_point,
-    _check_strategy,
-    _replication_spec,
+    _schedule_curve_set,
 )
 
 __all__ = [
@@ -57,6 +63,8 @@ __all__ = [
     "PointPrecision",
     "AdaptiveReport",
     "AdaptiveCurveSet",
+    "curve_precisions",
+    "precision_summary",
     "schedule_adaptive",
     "run_adaptive_curve_set",
 ]
@@ -84,7 +92,6 @@ class ScheduledPoint:
 
     results: tuple[SimulationResult, ...]
     interval: IntervalEstimate
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -138,20 +145,53 @@ class AdaptiveReport:
 
     def summary(self) -> str:
         """One-line account for CLI output; names unconverged points."""
-        met = sum(1 for point in self.points if point.converged)
-        line = (f"adaptive: {self.replications_total} replication(s) over "
-                f"{self.n_points} point(s) in {self.rounds} round(s) "
-                f"[fixed grid: {self.fixed_grid_replications}; saved "
-                f"{self.replications_saved}; cache fast-forward "
-                f"{self.replications_cached}]; {met}/{self.n_points} "
-                f"point(s) within +/-{self.rel_precision:.1%}")
-        missed = self.unconverged_points
-        if missed:
-            listing = ", ".join(
-                f"{p.label}@{p.total_rate:g} "
-                f"(+/-{p.relative_half_width:.1%})" for p in missed)
-            line += f"; unconverged at cap: {listing}"
-        return line
+        return precision_summary(
+            self.points, self.rel_precision, self.max_replications,
+            f"{self.rounds} round(s)",
+            f"cache fast-forward {self.replications_cached}")
+
+
+def curve_precisions(curves: Sequence[Curve], rel_precision: float
+                     ) -> tuple[PointPrecision, ...]:
+    """Achieved precision of every point of ``curves``.
+
+    A point converged iff its final relative half-width meets
+    ``rel_precision``: the scheduler stops a point the round it meets
+    the target and never re-evaluates it, so this matches its verdict.
+    """
+    return tuple(
+        PointPrecision(label=curve.label, total_rate=point.total_rate,
+                       n_replications=point.n_replications,
+                       half_width=point.rt_half_width,
+                       relative_half_width=point.rt_relative_half_width,
+                       converged=point.rt_relative_half_width <=
+                       rel_precision)
+        for curve in curves for point in curve.points)
+
+
+def precision_summary(points: Sequence[PointPrecision],
+                      rel_precision: float, max_replications: int,
+                      *notes: str) -> str:
+    """The one-line replication account of an adaptive run.
+
+    ``notes`` join the bracketed fixed-grid comparison (rounds, cache
+    fast-forward, confidence); unconverged points are named.
+    """
+    total = sum(point.n_replications for point in points)
+    grid = len(points) * max_replications
+    met = sum(1 for point in points if point.converged)
+    facts = "; ".join((f"fixed grid: {grid}", f"saved {grid - total}",
+                       *notes))
+    line = (f"adaptive: {total} replication(s) over {len(points)} "
+            f"point(s) [{facts}]; {met}/{len(points)} point(s) within "
+            f"+/-{rel_precision:.1%}")
+    missed = [point for point in points if not point.converged]
+    if missed:
+        listing = ", ".join(
+            f"{p.label}@{p.total_rate:g} (+/-{p.relative_half_width:.1%})"
+            for p in missed)
+        line += f"; unconverged at cap: {listing}"
+    return line
 
 
 @dataclass(frozen=True)
@@ -163,17 +203,27 @@ class AdaptiveCurveSet:
 
 
 def schedule_adaptive(spec_factories: Sequence[Callable[[int], JobSpec]],
-                      settings: PrecisionSettings,
+                      settings: RunSettings,
                       runner: ParallelRunner,
                       ) -> tuple[list[ScheduledPoint], int]:
-    """Run the adaptive scheduling loop over abstract points.
+    """Schedule the replications of abstract points on ``runner``.
 
     ``spec_factories[i]`` maps a replication index ``r`` to the
-    :class:`JobSpec` of point ``i``'s replication ``r`` -- the curve-set
-    and sensitivity harnesses supply different factories but share this
-    loop.  Returns the per-point outcomes (in input order) and the
-    number of rounds submitted.
+    :class:`JobSpec` of point ``i``'s replication ``r`` (see
+    :func:`~repro.experiments.runner.build_job`).  A
+    :class:`PrecisionSettings` runs the adaptive rounds; any other
+    :class:`RunSettings` is the one-round case, ``replications`` jobs
+    per point.  Each round is one ``run_jobs`` batch, point-major and
+    replication-minor.  Returns the per-point outcomes (in input order)
+    and the number of rounds submitted.
     """
+    adaptive = isinstance(settings, PrecisionSettings)
+    if adaptive:
+        first, cap = settings.min_replications, settings.max_replications
+        step, confidence = settings.round_size, settings.confidence
+    else:
+        first = cap = settings.replications
+        step, confidence = 1, 0.95
     tasks = [_PointTask(spec_for=factory) for factory in spec_factories]
     rounds = 0
     with runner:
@@ -181,16 +231,10 @@ def schedule_adaptive(spec_factories: Sequence[Callable[[int], JobSpec]],
             specs: list[JobSpec] = []
             owners: list[_PointTask] = []
             for task in tasks:
-                if task.converged:
-                    continue
                 have = len(task.results)
-                if have >= settings.max_replications:
+                if task.converged or have >= cap:
                     continue
-                if have < settings.min_replications:
-                    target = settings.min_replications
-                else:
-                    target = min(have + settings.round_size,
-                                 settings.max_replications)
+                target = first if have < first else min(have + step, cap)
                 for replication in range(have, target):
                     specs.append(task.spec_for(replication))
                     owners.append(task)
@@ -199,15 +243,14 @@ def schedule_adaptive(spec_factories: Sequence[Callable[[int], JobSpec]],
             rounds += 1
             for task, result in zip(owners, runner.run_jobs(specs)):
                 task.results.append(result)
+            if not adaptive:
+                continue
             for task in dict.fromkeys(owners):
-                if len(task.results) < settings.min_replications:
-                    continue
-                estimate = task.interval(settings.confidence)
+                estimate = task.interval(confidence)
                 if estimate.relative_half_width <= settings.rel_precision:
                     task.converged = True
     outcomes = [ScheduledPoint(results=tuple(task.results),
-                               interval=task.interval(settings.confidence),
-                               converged=task.converged)
+                               interval=task.interval(confidence))
                 for task in tasks]
     return outcomes, rounds
 
@@ -222,65 +265,28 @@ def run_adaptive_curve_set(
         **config_overrides) -> AdaptiveCurveSet:
     """Run ``(strategy, label, rates)`` sweeps to a precision target.
 
-    The adaptive counterpart of
-    :func:`~repro.experiments.runner.run_curve_set` -- same entries,
-    same curve output (each :class:`CurvePoint` additionally reporting
-    its achieved half-width and replication count) plus an
-    :class:`AdaptiveReport` accounting for what was scheduled.
-    ``run_curve_set`` delegates here whenever its settings are a
-    :class:`PrecisionSettings`; call this directly to get the report.
+    The same run as :func:`~repro.experiments.runner.run_curve_set`
+    under a :class:`PrecisionSettings` -- same entries, same curves --
+    plus an :class:`AdaptiveReport` accounting for what was scheduled.
     """
     settings = settings or PrecisionSettings()
     if not isinstance(settings, PrecisionSettings):
         raise TypeError(
             f"adaptive runs need PrecisionSettings, got "
             f"{type(settings).__name__}")
-
-    def spec_factory(strategy, rate) -> Callable[[int], JobSpec]:
-        def make(replication: int) -> JobSpec:
-            return _replication_spec(strategy, rate, comm_delay, settings,
-                                     config_overrides, replication,
-                                     fault_plan=fault_plan)
-        return make
-
-    factories: list[Callable[[int], JobSpec]] = []
-    layout: list[tuple[str, list[float]]] = []
-    for strategy, label, rates in entries:
-        _check_strategy(strategy)
-        for rate in rates:
-            factories.append(spec_factory(strategy, rate))
-        layout.append((label, list(rates)))
-
     runner = ParallelRunner(workers=workers, cache=cache)
-    outcomes, rounds = schedule_adaptive(factories, settings, runner)
-
-    curves: list[Curve] = []
-    precisions: list[PointPrecision] = []
-    cursor = 0
-    for label, rates in layout:
-        points = []
-        for rate in rates:
-            outcome = outcomes[cursor]
-            cursor += 1
-            points.append(_assemble_point(
-                rate, outcome.results, confidence=settings.confidence))
-            precisions.append(PointPrecision(
-                label=label, total_rate=rate,
-                n_replications=len(outcome.results),
-                half_width=outcome.interval.half_width,
-                relative_half_width=outcome.interval.relative_half_width,
-                converged=outcome.converged))
-        curves.append(Curve(label=label, comm_delay=comm_delay,
-                            points=tuple(points)))
-
+    curves, rounds = _schedule_curve_set(entries, comm_delay, settings,
+                                         runner, fault_plan,
+                                         config_overrides)
+    points = curve_precisions(curves, settings.rel_precision)
     report = AdaptiveReport(
         rel_precision=settings.rel_precision,
         confidence=settings.confidence,
         min_replications=settings.min_replications,
         max_replications=settings.max_replications,
         rounds=rounds,
-        replications_total=sum(len(o.results) for o in outcomes),
+        replications_total=sum(p.n_replications for p in points),
         replications_cached=runner.jobs_cached,
         replications_executed=runner.jobs_executed,
-        points=tuple(precisions))
+        points=points)
     return AdaptiveCurveSet(curves=tuple(curves), report=report)

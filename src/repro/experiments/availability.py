@@ -22,14 +22,16 @@ ranking -- which is exactly what this table makes visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 from ..hybrid.metrics import SimulationResult
 from ..sim.faults import FaultPlan, standard_outage_plan
+from .adaptive import schedule_adaptive
 from .cache import ResultCache
-from .parallel import JobSpec, ParallelRunner
+from .parallel import ParallelRunner
 from .report import format_table
-from .runner import RunSettings
+from .runner import PrecisionSettings, RunSettings, build_job
 
 __all__ = ["AvailabilityPoint", "AvailabilityComparison",
            "run_availability", "AVAILABILITY_STRATEGIES"]
@@ -133,28 +135,33 @@ def run_availability(total_rate: float = 25.0,
     the injected faults.  With ``failover=True`` a third run per
     strategy repeats the faulted one with hot-standby failover enabled
     (the plan's recovery policy plus ``failover=True``), isolating what
-    the survivability protocol buys.  The whole grid executes as one
-    :class:`ParallelRunner` batch.
+    the survivability protocol buys.  Every run is one point of the
+    shared scheduler (replication 0 of
+    :func:`~repro.experiments.runner.build_job`), so the whole grid
+    executes as one :class:`ParallelRunner` batch.  The comparison is of
+    single runs: settings asking for more than one replication are
+    rejected rather than silently cut to one.
     """
     settings = settings or RunSettings()
+    if isinstance(settings, PrecisionSettings) or settings.replications > 1:
+        raise ValueError(
+            "run_availability compares single runs; it takes neither "
+            "PrecisionSettings nor replications > 1")
     if plan is None:
         plan = standard_outage_plan(
             warmup_time=settings.warmup_time * settings.scale,
             measure_time=settings.measure_time * settings.scale)
-    failover_plan = plan.with_recovery(
-        replace(plan.recovery, failover=True)) if failover else None
-    runs = 3 if failover else 2
-    specs: list[JobSpec] = []
-    for strategy in strategies:
-        config = settings.config_for(total_rate, comm_delay=0.2,
-                                     seed=settings.base_seed)
-        specs.append(JobSpec(strategy=strategy, config=config))
-        specs.append(JobSpec(strategy=strategy, config=config,
-                             fault_plan=plan))
-        if failover_plan is not None:
-            specs.append(JobSpec(strategy=strategy, config=config,
-                                 fault_plan=failover_plan))
-    results = ParallelRunner(workers=workers, cache=cache).run_jobs(specs)
+    plans = [None, plan]
+    if failover:
+        plans.append(plan.with_recovery(
+            replace(plan.recovery, failover=True)))
+    outcomes, _ = schedule_adaptive(
+        [partial(build_job, settings, strategy, total_rate, 0.2,
+                 fault_plan=fault_plan)
+         for strategy in strategies for fault_plan in plans],
+        settings, ParallelRunner(workers=workers, cache=cache))
+    results = [outcome.results[0] for outcome in outcomes]
+    runs = len(plans)
     points = tuple(
         AvailabilityPoint(
             strategy=strategy,

@@ -11,9 +11,10 @@ Installed as ``hybriddb-experiment`` (see pyproject).  Examples::
     hybriddb-experiment --figure 4.3 --csv fig43.csv
     hybriddb-experiment --figure 4.1 --no-cache
     hybriddb-experiment --figure 4.1 --protocol 2pc
-    hybriddb-experiment --scorecard --scale 0.3 --protocol epoch
+    hybriddb-experiment --scorecard --scale 0.3 --protocol epoch --workers 4
+    hybriddb-experiment --sensitivity p_local --replications 2 --protocol 2pc
     hybriddb-experiment --list-protocols
-    hybriddb-experiment --validate
+    hybriddb-experiment --validate --workers 2
     hybriddb-experiment --verify
     hybriddb-experiment --list
     hybriddb-experiment --run queue-length --rate 35 \\
@@ -30,6 +31,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from ..core import STRATEGIES
 from ..obs.logconf import add_logging_flags, setup_cli_logging
@@ -159,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7_001,
                         help="base random seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="simulation processes for figure/sensitivity "
-                             "runs (1 = serial, 0 = one per CPU); results "
-                             "are bit-identical to serial execution")
+                        help="simulation processes for every mode but a "
+                             "single --run (1 = serial, 0 = one per CPU); "
+                             "results are bit-identical to serial "
+                             "execution")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
     parser.add_argument("--cache-dir", metavar="PATH",
@@ -187,27 +190,12 @@ def _run_figure(figure_id: str, settings: RunSettings,
         print(f"\n[data written to {target}]")
     print("\n" + execution_summary(elapsed, workers=workers, cache=cache))
     if isinstance(settings, PrecisionSettings):
-        labelled = [(curve.label, point) for curve in figure.curves
-                    for point in curve.points]
-        points = [point for _, point in labelled]
-        total = sum(point.n_replications for point in points)
-        grid = len(points) * settings.max_replications
-        met = sum(1 for point in points
-                  if point.rt_relative_half_width <= settings.rel_precision)
-        print(f"[adaptive: {total} replication(s) over {len(points)} "
-              f"point(s) vs {grid} fixed-grid (saved {grid - total}); "
-              f"{met}/{len(points)} point(s) within "
-              f"+/-{settings.rel_precision:.1%} at "
-              f"{settings.confidence:.0%} confidence]")
-        missed = [(label, point) for label, point in labelled
-                  if point.rt_relative_half_width > settings.rel_precision]
-        if missed:
-            listing = ", ".join(
-                f"{label}@{point.total_rate:g} "
-                f"(+/-{point.rt_relative_half_width:.1%})"
-                for label, point in missed)
-            print(f"[unconverged at cap {settings.max_replications}: "
-                  f"{listing}]")
+        from .adaptive import curve_precisions, precision_summary
+
+        points = curve_precisions(figure.curves, settings.rel_precision)
+        print("[" + precision_summary(
+            points, settings.rel_precision, settings.max_replications,
+            f"{settings.confidence:.0%} confidence") + "]")
 
 
 def _resolve_plan(args, settings: RunSettings):
@@ -309,18 +297,19 @@ def _run_single(args, settings: RunSettings) -> int:
     return 0
 
 
-def _run_validation(settings: RunSettings) -> None:
+def _run_validation(settings: RunSettings, workers: int,
+                    cache: ResultCache | None) -> None:
     started = time.time()
     report = validate_model(
-        warmup_time=25.0 * settings.scale,
-        measure_time=75.0 * settings.scale,
-        seed=settings.base_seed)
+        settings=replace(settings, warmup_time=25.0, measure_time=75.0),
+        workers=workers, cache=cache)
     print("Analytic model vs discrete-event simulator")
     print()
     print(report.to_table())
     print(f"\nmean |error| = {report.mean_abs_error:.1%}, "
           f"max |error| = {report.max_abs_error:.1%}")
-    print("\n" + execution_summary(time.time() - started))
+    print("\n" + execution_summary(time.time() - started,
+                                   workers=workers, cache=cache))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -402,6 +391,11 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --fault-plan requires --run or --availability",
               file=sys.stderr)
         return 2
+    if args.availability and (args.replications > 1 or
+                              args.precision is not None):
+        print("error: --availability compares single runs; drop "
+              "--replications/--precision", file=sys.stderr)
+        return 2
     if args.failover and not args.availability:
         print("error: --failover requires --availability",
               file=sys.stderr)
@@ -442,16 +436,17 @@ def main(argv: list[str] | None = None) -> int:
         if not args.figure:
             return 0
     if args.validate:
-        _run_validation(settings)
+        _run_validation(settings, workers, cache)
         if not args.figure and not args.scorecard:
             return 0
     if args.scorecard:
         from .scorecard import run_scorecard
 
         started = time.time()
-        card = run_scorecard(settings)
+        card = run_scorecard(settings, workers=workers, cache=cache)
         print(card.to_text())
-        print("\n" + execution_summary(time.time() - started))
+        print("\n" + execution_summary(time.time() - started,
+                                       workers=workers, cache=cache))
         if not args.figure:
             return 0 if card.all_essential_pass else 1
     if args.sensitivity:
@@ -460,12 +455,10 @@ def main(argv: list[str] | None = None) -> int:
         started = time.time()
         sweep = sweep_parameter(
             args.sensitivity, DEFAULT_SWEEPS[args.sensitivity],
-            warmup_time=20.0 * settings.scale + 5.0,
-            measure_time=60.0 * settings.scale + 10.0,
-            seed=settings.base_seed,
-            workers=workers, cache=cache,
-            settings=settings if isinstance(settings, PrecisionSettings)
-            else None)
+            settings=replace(settings, scale=1.0,
+                             warmup_time=20.0 * settings.scale + 5.0,
+                             measure_time=60.0 * settings.scale + 10.0),
+            workers=workers, cache=cache)
         print(sweep.to_table())
         print("\n" + execution_summary(time.time() - started,
                                        workers=workers, cache=cache))

@@ -248,22 +248,23 @@ class ParallelRunner:
                   specs: list[JobSpec]) -> list[SimulationResult] | None:
         """Map jobs over a process pool; ``None`` if no pool is possible.
 
-        In incremental mode (inside a ``with`` block) the pool is
-        created once at full ``workers`` size and reused for every
-        subsequent batch; otherwise a right-sized pool lives for this
-        batch only.
+        The pool is sized to the batch, capped at ``workers``.  In
+        incremental mode (inside a ``with`` block) the pool sized by
+        the first batch is reused for every subsequent batch; otherwise
+        it lives for this batch only.
         """
         if self._pool_unavailable:
             return None
+        size = min(self.workers, len(specs))
         try:
             if self._persistent:
                 if self._pool is None:
-                    self._pool = self._make_pool(self.workers)
+                    self._pool = self._make_pool(size)
                     if self._pool is None:
                         self._pool_unavailable = True
                         return None
                 return self._pool.map(execute_job, specs, chunksize=1)
-            pool = self._make_pool(min(self.workers, len(specs)))
+            pool = self._make_pool(size)
             if pool is None:
                 self._pool_unavailable = True
                 return None

@@ -17,14 +17,16 @@ uniformly, so the same experiment definitions serve quick smoke tests
 (scale ~0.2), the default benchmark runs, and long high-confidence runs
 (scale >= 2).
 
-:class:`PrecisionSettings` turns the fixed replication count into a
-*precision target*: passed anywhere a :class:`RunSettings` is accepted
-(figures, curves, points, the sensitivity sweep, the CLI), it switches
-the run into adaptive mode -- replications are scheduled in rounds by
-:mod:`repro.experiments.adaptive` until every point's t-based relative
-confidence half-width reaches the target or a cap.  Seeding is the same
-deterministic function of ``(base_seed, rate, r)`` in fixed and
-adaptive mode alike, so adaptive runs stay bit-reproducible and every
+Every experiment entry point turns settings into simulations the same
+way: :func:`build_job` makes one replication's :class:`JobSpec`, and
+:func:`repro.experiments.adaptive.schedule_adaptive` schedules the
+replications of every point.  A fixed :class:`RunSettings` is the
+scheduler's one-round case (``replications`` jobs per point, in one
+batch); :class:`PrecisionSettings` turns the count into a *precision
+target* -- replications are scheduled in rounds until every point's
+t-based relative confidence half-width reaches the target or a cap.
+Seeding is the same deterministic function of ``(base_seed, rate, r)``
+in both modes, so adaptive runs stay bit-reproducible and every
 replication remains individually cacheable.
 """
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from ..core import STRATEGIES
@@ -44,8 +47,8 @@ from .cache import ResultCache
 from .parallel import JobSpec, ParallelRunner
 
 __all__ = ["RunSettings", "PrecisionSettings", "CurvePoint", "Curve",
-           "run_point", "run_curve", "run_curve_set", "run_single",
-           "StrategyBuilder"]
+           "build_job", "run_point", "run_curve", "run_curve_set",
+           "run_single", "StrategyBuilder"]
 
 #: ``name -> (config -> RouterFactory)`` -- the registry from repro.core,
 #: re-exported here so experiment definitions read naturally.
@@ -70,9 +73,9 @@ class RunSettings:
     crn: bool = False
     #: Commit protocol every configuration built through
     #: :meth:`config_for` runs under (a :mod:`repro.hybrid.protocols`
-    #: name).  Threading it through the settings object means the whole
-    #: experiment surface -- figures, scorecard, availability,
-    #: sensitivity -- scores per protocol without per-call plumbing.
+    #: name).  Every experiment entry point -- figures, scorecard,
+    #: availability, sensitivity, validation -- builds its jobs with
+    #: :func:`build_job`, so each one scores per protocol.
     protocol: str = "optimistic"
 
     def __post_init__(self) -> None:
@@ -274,48 +277,32 @@ def _check_strategy(strategy: str | StrategyBuilder) -> None:
         raise KeyError(strategy)
 
 
-def _replication_spec(strategy: str | StrategyBuilder, total_rate: float,
-                      comm_delay: float, settings: RunSettings,
-                      config_overrides: dict, replication: int,
-                      fault_plan=None) -> JobSpec:
-    """The job for one replication, seeded by
-    :meth:`RunSettings.replication_seed` (``base_seed + r`` by default,
-    rate-keyed CRN hashing under ``settings.crn``), fixed and adaptive
-    alike.
+def build_job(settings: RunSettings, strategy: str | StrategyBuilder,
+              total_rate: float, comm_delay: float, replication: int,
+              fault_plan=None, **overrides) -> JobSpec:
+    """The job for replication ``replication`` of one point.
+
+    Every experiment entry point builds its jobs here: the configuration
+    comes from :meth:`RunSettings.config_for` (horizon and protocol) and
+    the seed from :meth:`RunSettings.replication_seed` (``base_seed + r``
+    by default, rate-keyed CRN hashing under ``settings.crn``).
+    ``overrides`` are further :class:`SystemConfig` fields.
     """
     return JobSpec(strategy=strategy, config=settings.config_for(
         total_rate, comm_delay,
         seed=settings.replication_seed(total_rate, replication),
-        **config_overrides),
-        fault_plan=fault_plan)
-
-
-def _point_specs(strategy: str | StrategyBuilder, total_rate: float,
-                 comm_delay: float, settings: RunSettings,
-                 config_overrides: dict,
-                 fault_plan=None) -> list[JobSpec]:
-    """One job per replication of the fixed grid."""
-    return [
-        _replication_spec(strategy, total_rate, comm_delay, settings,
-                          config_overrides, replication,
-                          fault_plan=fault_plan)
-        for replication in range(settings.replications)
-    ]
+        **overrides), fault_plan=fault_plan)
 
 
 def _assemble_point(total_rate: float,
                     results: Sequence[SimulationResult],
-                    confidence: float = 0.95) -> CurvePoint:
+                    interval: IntervalEstimate) -> CurvePoint:
     """Average one rate's replications into a curve point.
 
-    The cross-replication interval is computed here, once, and stored on
-    the point (``rt_interval``) so downstream report/export code never
-    rebuilds the accumulator.
+    The scheduler's cross-replication interval is stored on the point
+    (``rt_interval``) so downstream report/export code never rebuilds
+    the accumulator.
     """
-    results = list(results)
-    summary = ReplicationSummary()
-    for result in results:
-        summary.add_replication(result.mean_response_time)
     return CurvePoint(
         total_rate=total_rate,
         mean_response_time=_average(
@@ -328,7 +315,7 @@ def _assemble_point(total_rate: float,
         central_utilization=_average(
             [r.mean_central_utilization for r in results]),
         replications=tuple(results),
-        rt_interval=summary.interval(confidence),
+        rt_interval=interval,
     )
 
 
@@ -345,24 +332,14 @@ def run_point(strategy: str | StrategyBuilder, total_rate: float,
     ``cache`` reuses previously simulated results.  Both leave the
     returned point bit-identical to a serial, uncached run.  Passing a
     ``fault_plan`` injects its episodes into every replication.  A
-    :class:`PrecisionSettings` switches the point into adaptive mode:
-    replications are added in rounds until the precision target (or the
-    cap) is reached.
+    :class:`PrecisionSettings` adds replications in rounds until the
+    precision target (or the cap) is reached.
     """
-    settings = settings or RunSettings()
-    _check_strategy(strategy)
-    if isinstance(settings, PrecisionSettings):
-        from .adaptive import run_adaptive_curve_set
-
-        outcome = run_adaptive_curve_set(
-            [(strategy, "point", [total_rate])], comm_delay=comm_delay,
-            settings=settings, workers=workers, cache=cache,
-            fault_plan=fault_plan, **config_overrides)
-        return outcome.curves[0].points[0]
-    runner = ParallelRunner(workers=workers, cache=cache)
-    specs = _point_specs(strategy, total_rate, comm_delay, settings,
-                         config_overrides, fault_plan=fault_plan)
-    return _assemble_point(total_rate, runner.run_jobs(specs))
+    curves = run_curve_set([(strategy, "point", [total_rate])],
+                           comm_delay=comm_delay, settings=settings,
+                           workers=workers, cache=cache,
+                           fault_plan=fault_plan, **config_overrides)
+    return curves[0].points[0]
 
 
 def run_single(strategy: str | StrategyBuilder, total_rate: float,
@@ -427,6 +404,7 @@ def run_curve_set(entries: Sequence[tuple[str | StrategyBuilder, str,
                   settings: RunSettings | None = None,
                   workers: int | None = 1,
                   cache: ResultCache | None = None,
+                  fault_plan=None,
                   **config_overrides) -> list[Curve]:
     """Run several ``(strategy, label, rates)`` sweeps as one job batch.
 
@@ -441,36 +419,41 @@ def run_curve_set(entries: Sequence[tuple[str | StrategyBuilder, str,
     points at once (pool stays saturated while converged points drop
     out) until every point meets the precision target or its cap.
     """
-    settings = settings or RunSettings()
-    if isinstance(settings, PrecisionSettings):
-        from .adaptive import run_adaptive_curve_set
+    curves, _ = _schedule_curve_set(
+        entries, comm_delay, settings or RunSettings(),
+        ParallelRunner(workers=workers, cache=cache), fault_plan,
+        config_overrides)
+    return curves
 
-        return list(run_adaptive_curve_set(
-            entries, comm_delay=comm_delay, settings=settings,
-            workers=workers, cache=cache, **config_overrides).curves)
-    specs: list[JobSpec] = []
-    layout: list[tuple[str | StrategyBuilder, str, list[float],
-                       list[int]]] = []
-    for strategy, label, rates in entries:
+
+def _schedule_curve_set(entries: Sequence[tuple[str | StrategyBuilder, str,
+                                               list[float]]],
+                       comm_delay: float, settings: RunSettings,
+                       runner: ParallelRunner, fault_plan,
+                       overrides: dict) -> tuple[list[Curve], int]:
+    """Schedule a curve set on ``runner``: the curves and the rounds.
+
+    One point per ``(entry, rate)``, built by :func:`build_job` and
+    replicated by :func:`~repro.experiments.adaptive.schedule_adaptive`.
+    """
+    from .adaptive import schedule_adaptive
+
+    factories = []
+    for strategy, _, rates in entries:
         _check_strategy(strategy)
-        counts: list[int] = []
-        for rate in rates:
-            point_specs = _point_specs(strategy, rate, comm_delay,
-                                       settings, config_overrides)
-            counts.append(len(point_specs))
-            specs.extend(point_specs)
-        layout.append((strategy, label, list(rates), counts))
-
-    results = ParallelRunner(workers=workers, cache=cache).run_jobs(specs)
-
-    curves: list[Curve] = []
-    cursor = 0
-    for strategy, label, rates, counts in layout:
+        factories.extend(
+            partial(build_job, settings, strategy, rate, comm_delay,
+                    fault_plan=fault_plan, **overrides)
+            for rate in rates)
+    outcomes, rounds = schedule_adaptive(factories, settings, runner)
+    outcome = iter(outcomes)
+    curves = []
+    for _, label, rates in entries:
         points = []
-        for rate, count in zip(rates, counts):
-            points.append(_assemble_point(
-                rate, results[cursor:cursor + count]))
-            cursor += count
+        for rate in rates:
+            scheduled = next(outcome)
+            points.append(_assemble_point(rate, scheduled.results,
+                                          scheduled.interval))
         curves.append(Curve(label=label, comm_delay=comm_delay,
                             points=tuple(points)))
-    return curves
+    return curves, rounds

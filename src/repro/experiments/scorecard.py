@@ -22,16 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .figures import (
-    FigureData,
-    figure_4_1,
-    figure_4_2,
-    figure_4_3,
-    figure_4_4,
-    figure_4_5,
-    figure_4_6,
-    figure_4_7,
-)
+from .cache import ResultCache
+from .figures import ALL_FIGURES, FigureData
 from .report import format_table
 from .runner import Curve, RunSettings
 
@@ -206,18 +198,18 @@ def _claims() -> list[Claim]:
     ]
 
 
-def run_scorecard(settings: RunSettings | None = None) -> Scorecard:
-    """Regenerate all figures and evaluate every claim."""
+def run_scorecard(settings: RunSettings | None = None,
+                  workers: int | None = 1,
+                  cache: ResultCache | None = None) -> Scorecard:
+    """Regenerate all figures and evaluate every claim.
+
+    ``workers`` and ``cache`` reach every figure's run, as for one
+    figure.
+    """
     settings = settings or RunSettings()
-    figures = {
-        "4.1": figure_4_1(settings),
-        "4.2": figure_4_2(settings),
-        "4.3": figure_4_3(settings),
-        "4.4": figure_4_4(settings),
-        "4.5": figure_4_5(settings),
-        "4.6": figure_4_6(settings),
-        "4.7": figure_4_7(settings),
-    }
+    figures = {figure_id: ALL_FIGURES[figure_id](settings, workers=workers,
+                                                 cache=cache)
+               for figure_id in sorted(ALL_FIGURES)}
     results = []
     for claim in _claims():
         try:

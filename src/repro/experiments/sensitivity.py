@@ -16,20 +16,29 @@ dataclasses so tests can assert the direction of every dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 from ..core import optimize_static
-from ..hybrid.config import SystemConfig, paper_config
-from ..sim.stats import ReplicationSummary
+from ..hybrid.config import SystemConfig
+from .adaptive import schedule_adaptive
 from .cache import ResultCache
-from .parallel import JobSpec, ParallelRunner
+from .parallel import ParallelRunner
 from .report import format_table
-from .runner import PrecisionSettings
+from .runner import RunSettings, _assemble_point, build_job
 
 __all__ = ["SensitivityPoint", "SensitivitySweep", "sweep_parameter"]
 
 #: Strategies every sensitivity point evaluates.
 REFERENCE_STRATEGIES = ("none", "static-optimal", "min-average-population")
+
+#: Horizon (20 s warm-up + 60 s window) and seed of a sweep run without
+#: explicit settings: one replication per cell, seeded 11011.
+SENSITIVITY_SETTINGS = RunSettings(warmup_time=20.0, measure_time=60.0,
+                                   base_seed=11_011)
+
+#: Communication delay of every cell except a ``comm_delay`` sweep's.
+BASE_COMM_DELAY = 0.2
 
 #: Default value grids per sweepable parameter (CLI --sensitivity).
 DEFAULT_SWEEPS: dict[str, tuple[float, ...]] = {
@@ -88,111 +97,70 @@ class SensitivitySweep:
 
 
 def _configure(parameter: str, value: float,
-               base: SystemConfig) -> SystemConfig:
-    """Apply one swept parameter to the base configuration."""
-    if parameter == "comm_delay":
-        return base.with_options(comm_delay=value)
-    if parameter == "central_mips":
-        return base.with_options(central_mips=value)
+               base: SystemConfig) -> dict:
+    """The config overrides one swept value applies to ``base``."""
+    if parameter in ("comm_delay", "central_mips"):
+        return {parameter: value}
     if parameter == "p_local":
-        workload = replace(base.workload, p_local=value)
-        return base.with_options(workload=workload)
+        return {"workload": replace(base.workload, p_local=value)}
     if parameter == "n_sites":
         n_sites = int(value)
         # Keep the *total* arrival rate constant as the site count
         # changes (per-site rate adjusts), like-for-like comparison.
         total = base.workload.total_arrival_rate
-        workload = replace(base.workload, n_sites=n_sites,
-                           arrival_rate_per_site=total / n_sites)
-        return base.with_options(workload=workload)
+        return {"workload": replace(base.workload, n_sites=n_sites,
+                                    arrival_rate_per_site=total / n_sites)}
     raise ValueError(f"unknown sweep parameter {parameter!r}")
 
 
 def sweep_parameter(parameter: str, values: Sequence[float],
                     total_rate: float = 25.0,
-                    warmup_time: float = 20.0,
-                    measure_time: float = 60.0,
-                    seed: int = 11_011,
+                    settings: RunSettings | None = None,
                     workers: int | None = 1,
-                    cache: ResultCache | None = None,
-                    settings=None) -> SensitivitySweep:
+                    cache: ResultCache | None = None) -> SensitivitySweep:
     """Sweep one parameter; everything else stays at the paper's base.
 
-    Every (setting, strategy) simulation is independent, so the whole
-    grid runs as one :class:`ParallelRunner` batch; ``workers`` > 1
-    fans it over a process pool and ``cache`` reuses completed cells.
-
-    ``settings`` controls *replications only* (the horizon stays with
-    the explicit ``warmup_time``/``measure_time`` arguments): a plain
-    :class:`~repro.experiments.runner.RunSettings` runs its fixed
-    ``replications`` per cell (replication ``r`` seeded ``seed + r``);
-    a :class:`~repro.experiments.runner.PrecisionSettings` schedules
-    replications adaptively per cell until the precision target or cap
-    is reached.  ``None`` (the default) keeps the historical single-run
-    behaviour -- and its cache keys, since replication 0 seeds ``seed``.
+    Every (setting, strategy) cell is one point of the shared scheduler,
+    built with :func:`~repro.experiments.runner.build_job`, so
+    ``settings`` governs the horizon, protocol, seeds (``crn``
+    included) and replications: a plain
+    :class:`~repro.experiments.runner.RunSettings` runs ``replications``
+    per cell, a :class:`~repro.experiments.runner.PrecisionSettings`
+    adds replications per cell until the precision target or cap.  The
+    default, :data:`SENSITIVITY_SETTINGS`, is one 20 s + 60 s run per
+    cell at seed 11011.  ``workers`` > 1 fans the grid over a process
+    pool and ``cache`` reuses completed cells.
     """
-    configs = []
+    settings = settings or SENSITIVITY_SETTINGS
+    base = settings.config_for(total_rate, BASE_COMM_DELAY)
+    cells = []  # (comm_delay, further overrides) per value
     for value in values:
-        base = paper_config(total_rate=total_rate,
-                            warmup_time=warmup_time,
-                            measure_time=measure_time, seed=seed)
-        configs.append(_configure(parameter, value, base))
-
-    cells = [(config, name)
-             for config in configs
-             for name in REFERENCE_STRATEGIES]
-    runner = ParallelRunner(workers=workers, cache=cache)
-
-    if isinstance(settings, PrecisionSettings):
-        from .adaptive import schedule_adaptive
-
-        def cell_factory(name, config):
-            def make(replication: int) -> JobSpec:
-                return JobSpec(strategy=name, config=config.with_options(
-                    seed=seed + replication))
-            return make
-
-        outcomes, _ = schedule_adaptive(
-            [cell_factory(name, config) for config, name in cells],
-            settings, runner)
-        cell_results = [list(outcome.results) for outcome in outcomes]
-        cell_half_widths = [outcome.interval.half_width
-                            for outcome in outcomes]
-    else:
-        reps = settings.replications if settings is not None else 1
-        specs = [JobSpec(strategy=name, config=config.with_options(
-                    seed=seed + replication))
-                 for config, name in cells
-                 for replication in range(reps)]
-        flat = runner.run_jobs(specs)
-        cell_results = [flat[index * reps:(index + 1) * reps]
-                        for index in range(len(cells))]
-        cell_half_widths = None
+        overrides = _configure(parameter, value, base)
+        cells.append((overrides.pop("comm_delay", BASE_COMM_DELAY),
+                      overrides))
+    outcomes, _ = schedule_adaptive(
+        [partial(build_job, settings, name, total_rate, delay, **overrides)
+         for delay, overrides in cells for name in REFERENCE_STRATEGIES],
+        settings, ParallelRunner(workers=workers, cache=cache))
 
     points = []
-    cursor = 0
-    for value, config in zip(values, configs):
-        optimum = optimize_static(config)
+    outcome = iter(outcomes)
+    for value, (delay, overrides) in zip(values, cells):
+        optimum = optimize_static(
+            settings.config_for(total_rate, delay, **overrides))
         response_times = {}
         shipped_fractions = {}
         replication_counts = {}
         rt_half_widths = {}
         for name in REFERENCE_STRATEGIES:
-            results = cell_results[cursor]
-            response_times[name] = (
-                sum(r.mean_response_time for r in results) / len(results))
-            shipped_fractions[name] = (
-                sum(r.shipped_fraction for r in results) / len(results))
-            if len(results) > 1:
-                replication_counts[name] = len(results)
-                if cell_half_widths is not None:
-                    rt_half_widths[name] = cell_half_widths[cursor]
-                else:
-                    summary = ReplicationSummary()
-                    for result in results:
-                        summary.add_replication(result.mean_response_time)
-                    rt_half_widths[name] = summary.interval().half_width
-            cursor += 1
+            scheduled = next(outcome)
+            cell = _assemble_point(total_rate, scheduled.results,
+                                   scheduled.interval)
+            response_times[name] = cell.mean_response_time
+            shipped_fractions[name] = cell.shipped_fraction
+            if cell.n_replications > 1:
+                replication_counts[name] = cell.n_replications
+                rt_half_widths[name] = cell.rt_half_width
         points.append(SensitivityPoint(
             parameter=parameter, value=float(value),
             optimal_p_ship=optimum.p_ship,

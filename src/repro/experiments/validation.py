@@ -15,14 +15,38 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.model import AnalyticModel
 from ..core.static import static_router_factory
-from ..hybrid.config import paper_config
-from ..hybrid.system import HybridSystem
+from ..hybrid.config import SystemConfig
+from .adaptive import schedule_adaptive
+from .cache import ResultCache
+from .parallel import ParallelRunner
 from .report import format_table
+from .runner import RunSettings, _assemble_point, build_job
 
-__all__ = ["ValidationPoint", "ValidationReport", "validate_model"]
+__all__ = ["ValidationPoint", "ValidationReport", "validate_model",
+           "StaticStrategy", "VALIDATION_SETTINGS"]
+
+#: Horizon (25 s warm-up + 75 s window) and seed of a validation run
+#: without explicit settings: one replication per grid point.
+VALIDATION_SETTINGS = RunSettings(warmup_time=25.0, measure_time=75.0,
+                                  base_seed=4_242)
+
+
+@dataclass(frozen=True)
+class StaticStrategy:
+    """Picklable, cacheable strategy: ship class A with fixed ``p_ship``."""
+
+    p_ship: float
+
+    def __call__(self, config: SystemConfig):
+        return static_router_factory(self.p_ship)
+
+    @property
+    def cache_key(self) -> str:
+        return f"static({self.p_ship!r})"
 
 
 @dataclass(frozen=True)
@@ -84,35 +108,42 @@ class ValidationReport:
 def validate_model(rates: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0),
                    p_ships: tuple[float, ...] = (0.0, 0.3, 0.6),
                    comm_delay: float = 0.2,
-                   warmup_time: float = 25.0,
-                   measure_time: float = 75.0,
-                   seed: int = 4_242) -> ValidationReport:
+                   settings: RunSettings | None = None,
+                   workers: int | None = 1,
+                   cache: ResultCache | None = None) -> ValidationReport:
     """Compare model and simulator over a stable-load grid.
 
     The grid deliberately stays below the lock-thrashing region: past
     saturation neither the fixed point nor the finite-horizon simulation
     estimates a meaningful steady state (the model reports
-    ``converged=False`` there).
+    ``converged=False`` there).  Each (rate, p_ship) cell is one point
+    of the shared scheduler, so ``settings`` (default
+    :data:`VALIDATION_SETTINGS`) governs horizon, protocol, seeds and
+    replications, and the simulated side is the mean over a cell's
+    replications.
     """
+    settings = settings or VALIDATION_SETTINGS
+    cells = [(total_rate, p_ship) for total_rate in rates
+             for p_ship in p_ships]
+    outcomes, _ = schedule_adaptive(
+        [partial(build_job, settings, StaticStrategy(p_ship), total_rate,
+                 comm_delay) for total_rate, p_ship in cells],
+        settings, ParallelRunner(workers=workers, cache=cache))
     points = []
-    for total_rate in rates:
-        config = paper_config(total_rate=total_rate, comm_delay=comm_delay,
-                              warmup_time=warmup_time,
-                              measure_time=measure_time, seed=seed)
-        model = AnalyticModel(config)
-        for p_ship in p_ships:
-            estimate = model.evaluate(
-                p_ship, config.workload.arrival_rate_per_site)
-            result = HybridSystem(
-                config, static_router_factory(p_ship)).run()
-            points.append(ValidationPoint(
-                total_rate=total_rate,
-                p_ship=p_ship,
-                model_response=estimate.response_average,
-                simulated_response=result.mean_response_time,
-                model_rho_local=estimate.contention.rho_local,
-                simulated_rho_local=result.mean_local_utilization,
-                model_rho_central=estimate.contention.rho_central,
-                simulated_rho_central=result.mean_central_utilization,
-            ))
+    for (total_rate, p_ship), outcome in zip(cells, outcomes):
+        config = settings.config_for(total_rate, comm_delay)
+        estimate = AnalyticModel(config).evaluate(
+            p_ship, config.workload.arrival_rate_per_site)
+        simulated = _assemble_point(total_rate, outcome.results,
+                                    outcome.interval)
+        points.append(ValidationPoint(
+            total_rate=total_rate,
+            p_ship=p_ship,
+            model_response=estimate.response_average,
+            simulated_response=simulated.mean_response_time,
+            model_rho_local=estimate.contention.rho_local,
+            simulated_rho_local=simulated.local_utilization,
+            model_rho_central=estimate.contention.rho_central,
+            simulated_rho_central=simulated.central_utilization,
+        ))
     return ValidationReport(points=tuple(points))

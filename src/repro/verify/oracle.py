@@ -139,9 +139,8 @@ def _check_littles_law(settings: VerifySettings) -> tuple[bool, str]:
 def _check_fixed_point_model(settings: VerifySettings) -> tuple[bool, str]:
     report = validate_model(
         rates=(5.0, 10.0, 15.0), p_ships=(0.0, 0.3),
-        warmup_time=20.0 * settings.scale,
-        measure_time=60.0 * settings.scale,
-        seed=settings.seed)
+        settings=RunSettings(warmup_time=20.0, measure_time=60.0,
+                             scale=settings.scale, base_seed=settings.seed))
     mean_error = report.mean_abs_error
     max_error = report.max_abs_error
     passed = (mean_error <= MODEL_MEAN_ERROR_LIMIT and

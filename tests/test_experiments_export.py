@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.experiments import (
 )
 from repro.experiments.export import FIELDS
 from repro.experiments.runner import Curve, CurvePoint
+from repro.experiments.validation import VALIDATION_SETTINGS
 
 
 def tiny_curve():
@@ -56,7 +58,9 @@ def test_write_figure_csv(tmp_path):
 
 def test_validate_model_small_grid():
     report = validate_model(rates=(5.0, 10.0), p_ships=(0.0, 0.5),
-                            warmup_time=5.0, measure_time=20.0)
+                            settings=replace(VALIDATION_SETTINGS,
+                                             warmup_time=5.0,
+                                             measure_time=20.0))
     assert len(report.points) == 4
     assert report.mean_abs_error < 0.5
     table = report.to_table()

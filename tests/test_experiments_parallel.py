@@ -7,6 +7,7 @@ preserved: replication ``r`` always uses ``base_seed + r``).
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,10 @@ from repro.experiments.parallel import (
     execute_job,
     strategy_cache_key,
 )
-from repro.experiments.sensitivity import sweep_parameter
+from repro.experiments.sensitivity import (
+    SENSITIVITY_SETTINGS,
+    sweep_parameter,
+)
 from repro.hybrid.config import paper_config
 
 #: Short horizon: these tests assert equality, not statistical quality.
@@ -85,10 +89,11 @@ def test_figure_4_4_parallel_matches_serial():
 
 
 def test_sensitivity_sweep_parallel_matches_serial():
+    tiny = replace(SENSITIVITY_SETTINGS, warmup_time=2.0, measure_time=6.0)
     serial = sweep_parameter("comm_delay", [0.2, 0.5], total_rate=8.0,
-                             warmup_time=2.0, measure_time=6.0, workers=1)
+                             settings=tiny, workers=1)
     parallel = sweep_parameter("comm_delay", [0.2, 0.5], total_rate=8.0,
-                               warmup_time=2.0, measure_time=6.0, workers=4)
+                               settings=tiny, workers=4)
     assert serial == parallel
 
 

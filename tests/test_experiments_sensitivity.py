@@ -2,15 +2,26 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.experiments.sensitivity import (
     REFERENCE_STRATEGIES,
-    _configure,
+    SENSITIVITY_SETTINGS,
+    _configure as _overrides,
     sweep_parameter,
 )
 from repro.hybrid import paper_config
 
 
 BASE = paper_config(total_rate=20.0)
+
+#: The sweep's default seed at a short horizon.
+SHORT = replace(SENSITIVITY_SETTINGS, warmup_time=3.0, measure_time=10.0)
+
+
+def _configure(parameter, value, base):
+    """The configuration one swept value's overrides produce."""
+    return base.with_options(**_overrides(parameter, value, base))
 
 
 def test_configure_comm_delay():
@@ -43,7 +54,7 @@ def test_configure_unknown_parameter():
 
 def test_sweep_structure():
     sweep = sweep_parameter("comm_delay", [0.2, 0.4], total_rate=10.0,
-                            warmup_time=3.0, measure_time=10.0)
+                            settings=SHORT)
     assert sweep.parameter == "comm_delay"
     assert sweep.values() == (0.2, 0.4)
     for strategy in REFERENCE_STRATEGIES:
@@ -58,7 +69,7 @@ def test_sweep_structure():
 
 def test_sweep_points_carry_fractions():
     sweep = sweep_parameter("central_mips", [15.0], total_rate=10.0,
-                            warmup_time=3.0, measure_time=10.0)
+                            settings=SHORT)
     point = sweep.points[0]
     assert point.parameter == "central_mips"
     assert set(point.shipped_fractions) == set(REFERENCE_STRATEGIES)

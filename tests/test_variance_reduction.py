@@ -15,7 +15,7 @@ from repro.experiments.parallel import ParallelRunner
 from repro.experiments.runner import (
     PrecisionSettings,
     RunSettings,
-    _replication_spec,
+    build_job,
     run_curve_set,
     run_point,
 )
@@ -53,9 +53,8 @@ def test_replication_seed_crn_pairs_strategies_not_rates():
     settings = RunSettings(base_seed=123, crn=True)
     # Same (rate, replication) -> same seed, whatever the strategy: the
     # seed derivation has no strategy input at all.
-    spec_a = _replication_spec("queue-length", 20.0, 0.2, settings, {}, 3)
-    spec_b = _replication_spec("min-average-population", 20.0, 0.2,
-                               settings, {}, 3)
+    spec_a = build_job(settings, "queue-length", 20.0, 0.2, 3)
+    spec_b = build_job(settings, "min-average-population", 20.0, 0.2, 3)
     assert spec_a.config.seed == spec_b.config.seed
     assert spec_a.config.seed == settings.replication_seed(20.0, 3)
     # ... but rates and replications decorrelate.
