@@ -233,6 +233,9 @@ class LockManager:
                 lock.holders[txn_id] = LockMode.EXCLUSIVE
                 self.locks_granted += 1
                 event.succeed()
+                if self._settle_covered(lock, txn_id) and \
+                        txn_id not in self._queued:
+                    self._waits_for.clear_waits(txn_id)
                 return event
             return self._block(lock, txn_id, mode, event)
 
@@ -365,6 +368,31 @@ class LockManager:
             self._waits_for.clear_waits(request.txn_id)
             if not request.event.triggered:
                 request.event.succeed()
+            self._settle_covered(lock, request.txn_id)
+
+    def _settle_covered(self, lock: Lock, txn_id: int) -> bool:
+        """Succeed the queued requests of ``txn_id`` on ``lock`` that the
+        mode it now holds already covers; returns whether there were any.
+
+        Without this a holder could stay queued behind others for a mode
+        it holds (or, once granted from the queue, be downgraded to it).
+        """
+        queued = self._queued.get(txn_id)
+        if not queued or lock.entity not in queued:
+            return False
+        exclusive = lock.holders[txn_id] is LockMode.EXCLUSIVE
+        covered = [request for request in lock.waiters
+                   if request.txn_id == txn_id and
+                   (exclusive or request.mode is LockMode.SHARE)]
+        if not covered:
+            return False
+        for request in covered:
+            lock.waiters.remove(request)
+        self._unqueue(txn_id, lock.entity, len(covered))
+        for request in covered:
+            if not request.event.triggered:
+                request.event.succeed()
+        return True
 
     def _collect(self, lock: Lock) -> None:
         if lock.is_free():

@@ -78,7 +78,12 @@ class ScanLockManager:
             grantable = not lock.waiters and lock.compatible(mode, txn_id)
         if grantable:
             lock.holders[txn_id] = mode
-            return event.succeed()
+            event.succeed()
+            if self._settle_covered(lock, txn_id) and not any(
+                    waiter[0] == txn_id for other in self._locks.values()
+                    for waiter in other.waiters):
+                self._waits_for.clear_waits(txn_id)
+            return event
         blockers = [holder for holder in lock.holders if holder != txn_id]
         blockers.extend(waiter[0] for waiter in lock.waiters)
         if self._waits_for.would_deadlock(txn_id, blockers):
@@ -97,6 +102,17 @@ class ScanLockManager:
             self._waits_for.clear_waits(txn_id)
             if not event.triggered:
                 event.succeed()
+            self._settle_covered(lock, txn_id)
+
+    def _settle_covered(self, lock, txn_id):
+        held = lock.holders[txn_id]
+        covered = [w for w in lock.waiters if w[0] == txn_id and
+                   (held is LockMode.EXCLUSIVE or w[1] is LockMode.SHARE)]
+        lock.waiters = deque(w for w in lock.waiters if w not in covered)
+        for _, _, event in covered:
+            if not event.triggered:
+                event.succeed()
+        return bool(covered)
 
     def _collect(self, entity):
         lock = self._locks[entity]
