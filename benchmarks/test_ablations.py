@@ -91,45 +91,6 @@ def test_ablation_update_batching(benchmark):
         unbatched.mean_response_time * 1.5
 
 
-def test_ablation_adaptive_threshold(benchmark):
-    """Self-tuning threshold (extension) vs fixed thresholds, both delays.
-
-    The paper's conclusion: the optimal threshold depends on the system
-    parameters.  The adaptive router should land near the tuned optimum
-    at each delay *without retuning* -- negative-ish at 0.2 s, higher at
-    0.5 s.
-    """
-    from repro.core.heuristics import threshold_router_factory
-    from repro.hybrid import HybridSystem
-
-    def run():
-        results = {}
-        for delay in (0.2, 0.5):
-            config = paper_config(
-                total_rate=28.0, comm_delay=delay,
-                warmup_time=30.0 * BENCH_SCALE,
-                measure_time=90.0 * BENCH_SCALE)
-            adaptive = HybridSystem(
-                config, STRATEGIES["adaptive-threshold"](config)).run()
-            fixed = {}
-            for threshold in (-0.2, 0.0, 0.1):
-                fixed[threshold] = HybridSystem(
-                    config, threshold_router_factory(threshold)).run()
-            results[delay] = (adaptive, fixed)
-        return results
-
-    results = run_once(benchmark, run)
-    print()
-    for delay, (adaptive, fixed) in sorted(results.items()):
-        best_fixed = min(result.mean_response_time
-                         for result in fixed.values())
-        print(f"  delay {delay}s: adaptive "
-              f"{adaptive.mean_response_time:.3f}s vs best fixed "
-              f"{best_fixed:.3f}s")
-        # Within 25% of the best fixed threshold, with zero tuning.
-        assert adaptive.mean_response_time < best_fixed * 1.25
-
-
 def test_ablation_update_mix(benchmark):
     """Share/exclusive reference mix: fewer updates, fewer aborts.
 

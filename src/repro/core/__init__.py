@@ -8,7 +8,6 @@ factories used by the experiment harness.
 from typing import Callable
 
 from ..hybrid.config import SystemConfig
-from .adaptive import AdaptiveThresholdRouter, adaptive_threshold_router
 from .distributed_model import (
     DistributedEstimate,
     DistributedModel,
@@ -22,7 +21,7 @@ from .dynamic import (
     min_incoming_population_router,
     min_incoming_queue_router,
 )
-from .estimators import ResponseEstimate, StateEstimator, UtilizationSource
+from .estimators import StateEstimator, UtilizationSource
 from .heuristics import (
     MeasuredResponseTimeRouter,
     QueueLengthRouter,
@@ -67,15 +66,11 @@ STRATEGIES: dict[str, Callable[[SystemConfig], RouterFactory]] = {
     "min-incoming-population": lambda config: min_incoming_population_router,
     "min-average-queue": lambda config: min_average_queue_router,
     "min-average-population": lambda config: min_average_population_router,
-    # Extension beyond the paper: self-tuning threshold heuristic.
-    "adaptive-threshold": lambda config: adaptive_threshold_router,
     # Literature baseline the paper cites ([EAGE86]): sender-initiated.
     "sender-initiated": lambda config: sender_initiated_router_factory(),
 }
 
 __all__ = [
-    "AdaptiveThresholdRouter",
-    "adaptive_threshold_router",
     "DistributedEstimate",
     "DistributedModel",
     "crossover_locality",
@@ -85,7 +80,6 @@ __all__ = [
     "min_average_queue_router",
     "min_incoming_population_router",
     "min_incoming_queue_router",
-    "ResponseEstimate",
     "StateEstimator",
     "UtilizationSource",
     "MeasuredResponseTimeRouter",

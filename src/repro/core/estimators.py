@@ -34,7 +34,7 @@ from ..hybrid.config import SystemConfig
 from .model import AnalyticModel, ContentionState, _clamp_probability
 from .router import RoutingObservation
 
-__all__ = ["UtilizationSource", "ResponseEstimate", "StateEstimator"]
+__all__ = ["UtilizationSource", "StateEstimator"]
 
 
 class UtilizationSource(enum.Enum):
@@ -42,17 +42,6 @@ class UtilizationSource(enum.Enum):
 
     QUEUE_LENGTH = "queue-length"       # scheme (a), Section 3.2.1
     POPULATION = "number-in-system"     # scheme (b), Section 3.2.1
-
-
-@dataclass(frozen=True)
-class ResponseEstimate:
-    """Estimated response times under one routing hypothesis."""
-
-    ship: bool
-    response_local: float      # for transactions retained at this site
-    response_central: float    # for shipped/central transactions
-    rho_local: float
-    rho_central: float
 
 
 @dataclass(slots=True)
@@ -198,24 +187,6 @@ class StateEstimator:
         return state
 
     # -- response estimation ------------------------------------------------
-
-    def estimate(self, observation: RoutingObservation,
-                 ship: bool) -> ResponseEstimate:
-        """Estimated response times under the hypothesis ``ship``."""
-        state = self.contention(observation, ship)
-        return ResponseEstimate(
-            ship=ship,
-            response_local=self.model.response_local(state),
-            response_central=self.model.response_central(state),
-            rho_local=state.rho_local,
-            rho_central=state.rho_central,
-        )
-
-    def estimate_both(self, observation: RoutingObservation
-                      ) -> tuple[ResponseEstimate, ResponseEstimate]:
-        """Estimates for (retain-local, ship) hypotheses."""
-        return (self.estimate(observation, ship=False),
-                self.estimate(observation, ship=True))
 
     def estimate_cases(self, observation: RoutingObservation
                        ) -> CaseEstimates:

@@ -2,8 +2,6 @@
 
 from .deadlock import WaitsForGraph
 from .replica import ReplicaStore, replica_divergence
-from .timevarying import PiecewiseArrivalProcess, RateProfile, \
-    attach_profiles
 from .locks import (
     AuthenticationStatus,
     DeadlockError,
@@ -33,9 +31,6 @@ __all__ = [
     "WaitsForGraph",
     "ReplicaStore",
     "replica_divergence",
-    "PiecewiseArrivalProcess",
-    "RateProfile",
-    "attach_profiles",
     "AuthenticationStatus",
     "DeadlockError",
     "Lock",

@@ -121,6 +121,7 @@ class AvailabilityComparison:
 
 
 def run_availability(total_rate: float = 25.0,
+                     comm_delay: float = 0.2,
                      plan: FaultPlan | None = None,
                      strategies: Sequence[str] = AVAILABILITY_STRATEGIES,
                      settings: RunSettings | None = None,
@@ -156,7 +157,7 @@ def run_availability(total_rate: float = 25.0,
         plans.append(plan.with_recovery(
             replace(plan.recovery, failover=True)))
     outcomes, _ = schedule_adaptive(
-        [partial(build_job, settings, strategy, total_rate, 0.2,
+        [partial(build_job, settings, strategy, total_rate, comm_delay,
                  fault_plan=fault_plan)
          for strategy in strategies for fault_plan in plans],
         settings, ParallelRunner(workers=workers, cache=cache))

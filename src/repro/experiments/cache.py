@@ -60,7 +60,9 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #:    config fields and pre-bump pickles lack the result fields.
 #: 6: SimulationResult lost the two fields version 4 added; pre-bump
 #:    pickles would restore them as stray attributes.
-CACHE_VERSION = 6
+#: 7: ``response_time_percentiles`` became exact; pre-bump pickles hold
+#:    the old streaming (P-squared) estimates.
+CACHE_VERSION = 7
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

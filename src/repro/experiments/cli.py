@@ -86,11 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "--workers processes and the merged point "
                              "is reported instead")
     parser.add_argument("--rate", type=float, default=30.0,
-                        help="total arrival rate for --run "
-                             "(default 30.0 txn/s)")
+                        help="total arrival rate for --run and "
+                             "--availability (default 30.0 txn/s)")
     parser.add_argument("--comm-delay", type=float, default=0.2,
-                        help="communication delay for --run "
-                             "(default 0.2 s)")
+                        help="communication delay for --run and "
+                             "--availability (default 0.2 s)")
     parser.add_argument("--telemetry", metavar="PATH",
                         help="with --run: write windowed telemetry "
                              "(CSV if PATH ends in .csv, JSON otherwise)")
@@ -420,11 +420,13 @@ def main(argv: list[str] | None = None) -> int:
 
         started = time.time()
         comparison = run_availability(
-            total_rate=args.rate, plan=_resolve_plan(args, settings),
+            total_rate=args.rate, comm_delay=args.comm_delay,
+            plan=_resolve_plan(args, settings),
             settings=settings, workers=workers, cache=cache,
             failover=args.failover)
         print("Strategies with and without faults "
-              f"@ rate={comparison.total_rate:g} txn/s")
+              f"@ rate={comparison.total_rate:g} txn/s, "
+              f"delay={args.comm_delay:g} s")
         print()
         print(comparison.to_table())
         episodes = comparison.episode_summary()

@@ -41,9 +41,8 @@ from ..db.transaction import (
 )
 from ..obs.registry import MetricsRegistry
 from ..sim.faults import RecoveryRecord
-from ..sim.quantiles import QuantileSet
 from ..sim.spans import PHASE_OTHER, PHASES
-from ..sim.stats import RunningStat
+from ..sim.stats import RunningStat, percentile_summary
 from ..sim.trace import NullTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,7 +65,8 @@ class SimulationResult:
     mean_response_time: float
     response_time_by_class: dict[TransactionClass, float]
     response_time_by_kind: dict[TransactionKind, float]
-    #: Streaming P^2 estimates: keys p50/p90/p95/p99/min/max.
+    #: Exact percentiles of the measured response times: keys
+    #: p50/p90/p95/p99/min/max (NaN when nothing completed).
     response_time_percentiles: dict[str, float]
     throughput: float
     completed: int
@@ -450,7 +450,8 @@ class MetricsCollector:
         self.audit = audit
 
         self.response_all = RunningStat()
-        self.response_quantiles = QuantileSet()
+        #: Every measured response time, for the exact percentiles.
+        self.response_times: list[float] = []
         self.response_by_class: dict[TransactionClass, RunningStat] = {
             cls: RunningStat() for cls in TransactionClass}
         self.response_by_kind: dict[TransactionKind, RunningStat] = {
@@ -550,7 +551,7 @@ class MetricsCollector:
         response = txn.response_time
         self._response_hist[txn.txn_class].observe(response)
         self.response_all.add(response)
-        self.response_quantiles.add(response)
+        self.response_times.append(response)
         self.response_by_class[txn.txn_class].add(response)
         self.response_by_kind[txn.kind()].add(response)
         by_class = self.phase_by_class[txn.txn_class]
@@ -731,7 +732,8 @@ class MetricsCollector:
             response_time_by_kind={
                 kind: stat.mean for kind, stat
                 in self.response_by_kind.items() if stat.count},
-            response_time_percentiles=self.response_quantiles.summary(),
+            response_time_percentiles=percentile_summary(
+                self.response_times),
             throughput=counts["completed"] / measured_time,
             mean_local_utilization=(
                 sum(local_utilizations) / len(local_utilizations)

@@ -21,7 +21,6 @@ from .spans import PHASES, SpanRecorder
 from .rng import ExponentialSampler, RandomStreams, StreamReplay, \
     UniformIntSampler, crn_seed
 from .stats import (
-    BatchMeans,
     IntervalEstimate,
     PairedDifference,
     ReplicationSummary,
@@ -52,7 +51,6 @@ __all__ = [
     "StreamReplay",
     "UniformIntSampler",
     "crn_seed",
-    "BatchMeans",
     "IntervalEstimate",
     "PairedDifference",
     "paired_difference",

@@ -7,13 +7,13 @@ simulation study:
   observation streams (response times, abort counts).
 * :class:`TimeWeightedStat` -- time-integral averages for state variables
   (queue lengths, number in system, utilisation).
-* :class:`BatchMeans` -- batch-means confidence intervals from a single
-  long run (used after warm-up deletion).
 * :class:`ReplicationSummary` -- t-based confidence intervals across
   independent replications (used by the experiment harness).
 * :func:`paired_difference` -- paired-t estimation of a strategy-vs-
   strategy delta when both strategies ran on common random numbers.
 * :class:`IntervalEstimate` -- a point estimate plus half-width.
+* :func:`percentile_summary` -- exact response-time percentiles of one
+  run's stored observations.
 
 All confidence intervals use :func:`t_quantile`, a stdlib Student-t
 quantile: closed forms at 1 and 2 degrees of freedom; otherwise a
@@ -37,13 +37,16 @@ from typing import Iterable, Sequence
 __all__ = [
     "RunningStat",
     "TimeWeightedStat",
-    "BatchMeans",
     "ReplicationSummary",
     "IntervalEstimate",
     "PairedDifference",
     "paired_difference",
     "t_quantile",
+    "percentile_summary",
 ]
+
+#: The reported percentiles, in percent.
+_PERCENTILES = (50, 90, 95, 99)
 
 
 @dataclass(frozen=True)
@@ -343,10 +346,7 @@ class RunningStat:
         return self._max if self._n else math.nan
 
     def interval(self, confidence: float = 0.95) -> IntervalEstimate:
-        """Confidence interval treating observations as i.i.d.
-
-        For autocorrelated within-run data prefer :class:`BatchMeans`.
-        """
+        """Confidence interval treating observations as i.i.d."""
         std = self.std
         half = _t_half_width(std if std == std else 0.0, self._n, confidence)
         return IntervalEstimate(self.mean, half, confidence, self._n)
@@ -400,55 +400,6 @@ class TimeWeightedStat:
         return total / elapsed
 
 
-class BatchMeans:
-    """Batch-means interval estimation from one long (post-warm-up) run.
-
-    Observations are grouped into ``n_batches`` contiguous batches; batch
-    averages are approximately independent for long batches, so a t-based
-    interval over them is valid despite within-run autocorrelation.
-    """
-
-    def __init__(self, n_batches: int = 20):
-        if n_batches < 2:
-            raise ValueError("need at least 2 batches")
-        self.n_batches = n_batches
-        self._values: list[float] = []
-
-    def add(self, value: float) -> None:
-        self._values.append(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        self._values.extend(values)
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    def batch_averages(self) -> list[float]:
-        n = len(self._values)
-        if n < self.n_batches:
-            raise ValueError(
-                f"only {n} observations for {self.n_batches} batches")
-        size = n // self.n_batches
-        averages = []
-        for index in range(self.n_batches):
-            start = index * size
-            # The last batch absorbs the n % n_batches remainder, so no
-            # observation is ever silently discarded.
-            end = start + size if index < self.n_batches - 1 else n
-            chunk = self._values[start:end]
-            averages.append(sum(chunk) / len(chunk))
-        return averages
-
-    def interval(self, confidence: float = 0.95) -> IntervalEstimate:
-        _check_confidence(confidence)
-        batches = self.batch_averages()
-        stat = RunningStat()
-        stat.extend(batches)
-        half = _t_half_width(stat.std, len(batches), confidence)
-        return IntervalEstimate(stat.mean, half, confidence, len(batches))
-
-
 class ReplicationSummary:
     """Cross-replication estimator: one observation per independent run.
 
@@ -481,3 +432,33 @@ class ReplicationSummary:
         estimate = IntervalEstimate(stat.mean, half, confidence, stat.count)
         self._intervals[confidence] = estimate
         return estimate
+
+
+def percentile_summary(values: Sequence[float]) -> dict[str, float]:
+    """``p50/p90/p95/p99`` of ``values`` plus their ``min`` and ``max``.
+
+    The percentiles are exactly ``numpy.percentile``'s default (linear)
+    method: interpolate between the order statistics either side of
+    rank ``(n - 1) * p``, from the lower one below a fraction of 0.5 and
+    from the upper one at or above it.  It is computed here because
+    ``numpy.percentile`` imports ``numpy.ma``, about 2 MB of memory in
+    every process that calls it.  With no observations every value is
+    NaN.
+    """
+    if len(values) == 0:
+        return dict.fromkeys(
+            [f"p{p}" for p in _PERCENTILES] + ["min", "max"], math.nan)
+    ordered = sorted(values)
+    top = len(ordered) - 1
+    summary = {}
+    for p in _PERCENTILES:
+        rank = top * (p / 100)
+        below = math.floor(rank)
+        fraction = rank - below
+        low, high = ordered[below], ordered[min(below + 1, top)]
+        step = high - low
+        summary[f"p{p}"] = (high - step * (1 - fraction) if fraction >= 0.5
+                            else low + step * fraction)
+    summary["min"] = ordered[0]
+    summary["max"] = ordered[-1]
+    return summary

@@ -83,6 +83,14 @@ def test_availability_jobs_carry_settings(jobs):
     assert len(comparison.points) == 3
 
 
+def test_cli_availability_honours_comm_delay(jobs, capsys):
+    assert main(["--availability", "--comm-delay", "0.5", "--scale", "0.02",
+                 "--no-cache"]) == 0
+    assert len(jobs) == 2 * 3
+    assert {spec.config.comm_delay for spec in jobs} == {0.5}
+    assert "delay=0.5 s" in capsys.readouterr().out
+
+
 def test_availability_rejects_replications():
     with pytest.raises(ValueError, match="single runs"):
         run_availability(settings=SETTINGS)

@@ -1,5 +1,6 @@
 """Unit tests for metrics collection (repro.hybrid.metrics)."""
 
+import numpy as np
 import pytest
 
 from repro.db import (
@@ -387,3 +388,29 @@ def test_benchmark_facing_hooks_fire_once_per_event():
     assert calls["record_auth_round"] == sum(
         value for key, value in result.metrics.items()
         if key.startswith("auth_rounds{"))
+
+
+def test_percentiles_are_exact_over_measured_responses():
+    """The reported percentiles are numpy's over every measured response."""
+    from repro.core import STRATEGIES
+    from repro.hybrid import HybridSystem, paper_config
+
+    config = paper_config(total_rate=20.0, warmup_time=5.0,
+                          measure_time=20.0, seed=3)
+    system = HybridSystem(config, STRATEGIES["queue-length"](config))
+    metrics = system.metrics
+    measured = []
+    record_completion = metrics.record_completion
+
+    def spy(txn):
+        if metrics.measuring:
+            measured.append(txn.response_time)
+        record_completion(txn)
+
+    metrics.record_completion = spy
+    result = system.run()
+    assert len(measured) == result.completed > 100
+    p50, p90, p95, p99 = np.percentile(measured, [50, 90, 95, 99])
+    assert result.response_time_percentiles == {
+        "p50": p50, "p90": p90, "p95": p95, "p99": p99,
+        "min": min(measured), "max": max(measured)}

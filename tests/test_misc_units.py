@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.core.model import AnalyticModel
@@ -10,7 +9,6 @@ from repro.core.router import AlwaysLocalRouter
 from repro.db import LockMode, Reference, Transaction, TransactionClass
 from repro.experiments.report import figure_report
 from repro.hybrid import HybridSystem, paper_config
-from repro.sim import BatchMeans
 
 IDS = itertools.count(90_000)
 
@@ -36,31 +34,6 @@ def test_figure_report_uses_fraction_metric_for_fraction_axis():
     report = figure_report(figure)
     assert "0.420" in report      # fraction, not the 1.500 response time
     assert "1.500" not in report
-
-
-# ---------------------------------------------------------------------------
-# Batch means: coverage on an autocorrelated process
-# ---------------------------------------------------------------------------
-
-def test_batch_means_covers_ar1_mean():
-    """Batch means must stay honest on a correlated series where naive
-    i.i.d. intervals would undercover."""
-    rng = np.random.default_rng(5)
-    hits = 0
-    trials = 60
-    for _ in range(trials):
-        # AR(1) with mean 10.
-        x = 10.0
-        values = []
-        for _ in range(4000):
-            x = 10.0 + 0.8 * (x - 10.0) + rng.normal(0, 1.0)
-            values.append(x)
-        batch = BatchMeans(n_batches=20)
-        batch.extend(values)
-        interval = batch.interval(confidence=0.95)
-        if interval.low <= 10.0 <= interval.high:
-            hits += 1
-    assert hits / trials >= 0.80  # near-nominal coverage
 
 
 # ---------------------------------------------------------------------------

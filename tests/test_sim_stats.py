@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.sim import (
-    BatchMeans,
     Environment,
     RandomStreams,
     ReplicationSummary,
@@ -242,55 +241,8 @@ def test_time_weighted_mean_bounded_by_levels(steps):
 
 
 # ---------------------------------------------------------------------------
-# BatchMeans / ReplicationSummary
+# ReplicationSummary
 # ---------------------------------------------------------------------------
-
-def test_batch_means_requires_enough_observations():
-    bm = BatchMeans(n_batches=5)
-    bm.extend([1.0, 2.0])
-    with pytest.raises(ValueError):
-        bm.interval()
-
-
-def test_batch_means_point_estimate():
-    bm = BatchMeans(n_batches=4)
-    bm.extend(list(range(40)))
-    ci = bm.interval()
-    # mean of 0..39 over equal batches of 10
-    assert ci.mean == pytest.approx(19.5)
-
-
-def test_batch_means_needs_two_batches():
-    with pytest.raises(ValueError):
-        BatchMeans(n_batches=1)
-
-
-def test_batch_averages_partition():
-    bm = BatchMeans(n_batches=2)
-    bm.extend([1.0, 3.0, 5.0, 7.0])
-    assert bm.batch_averages() == [2.0, 6.0]
-
-
-def test_batch_averages_remainder_folded_into_last_batch():
-    """Regression: the trailing n % n_batches observations used to be
-    silently discarded; they must contribute to the last batch."""
-    bm = BatchMeans(n_batches=2)
-    bm.extend([0.0] * 10 + [110.0])  # 11 observations, remainder 1
-    averages = bm.batch_averages()
-    assert len(averages) == 2
-    assert averages[0] == 0.0
-    # Last batch holds 6 observations: five zeros plus the 110 spike.
-    assert averages[1] == pytest.approx(110.0 / 6.0)
-    # The interval's point estimate sees the spike too (pinned value).
-    assert bm.interval().mean == pytest.approx(110.0 / 12.0)
-
-
-def test_batch_averages_remainder_pinned_estimate():
-    bm = BatchMeans(n_batches=3)
-    bm.extend(list(range(10)))  # batches [0,1,2], [3,4,5], [6,7,8,9]
-    assert bm.batch_averages() == [1.0, 4.0, 7.5]
-    assert bm.interval().mean == pytest.approx((1.0 + 4.0 + 7.5) / 3.0)
-
 
 def test_replication_summary():
     rep = ReplicationSummary()
@@ -380,15 +332,12 @@ def test_interval_entry_points_reject_bad_confidence(confidence):
     values = [1.0, 2.0, 4.0, 3.0]
     stat = RunningStat()
     stat.extend(values)
-    batches = BatchMeans(n_batches=2)
-    batches.extend(values)
     summary = ReplicationSummary()
     for value in values:
         summary.add_replication(value)
     calls = [
         lambda: stat.interval(confidence),
         lambda: RunningStat().interval(confidence),
-        lambda: batches.interval(confidence),
         lambda: summary.interval(confidence),
         lambda: paired_difference(values, values[::-1], confidence),
     ]

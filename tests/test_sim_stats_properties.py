@@ -1,23 +1,28 @@
 """Property-based tests for the output-analysis statistics.
 
-Hypothesis drives :mod:`repro.sim.stats` and :mod:`repro.sim.quantiles`
-through adversarial observation streams: empty and singleton streams,
-merge commutativity/equivalence of :class:`RunningStat`, the
-bounding/ordering invariants of the P^2 quantile estimators, and the
-Student-t quantile against the reference implementation, its ordering
-in confidence and df, and its normal limit.
+Hypothesis drives :mod:`repro.sim.stats` through adversarial
+observation streams: empty and singleton streams, merge
+commutativity/equivalence of :class:`RunningStat`, the bounding and
+ordering invariants of the exact percentile summary, and the Student-t
+quantile against the reference implementation, its ordering in
+confidence and df, and its normal limit.
 """
 
 import math
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from repro.sim.quantiles import P2Quantile, QuantileSet
-from repro.sim.stats import RunningStat, TimeWeightedStat, t_quantile
+from repro.sim.stats import (
+    RunningStat,
+    TimeWeightedStat,
+    percentile_summary,
+    t_quantile,
+)
 
 finite = st.floats(min_value=-1e9, max_value=1e9,
                    allow_nan=False, allow_infinity=False, width=64)
@@ -126,60 +131,44 @@ def test_time_weighted_rejects_backwards_time():
         stat.record(1.0, 2.0)
 
 
-# -- quantiles ----------------------------------------------------------------
+# -- percentiles ---------------------------------------------------------------
 
-def test_quantile_set_empty_summary_is_nan():
-    summary = QuantileSet().summary()
-    assert set(summary) == {"p50", "p90", "p95", "p99", "min", "max"}
+PERCENTILE_KEYS = ("p50", "p90", "p95", "p99")
+
+
+def test_percentile_summary_empty_is_nan():
+    summary = percentile_summary([])
+    assert set(summary) == {*PERCENTILE_KEYS, "min", "max"}
     assert all(math.isnan(value) for value in summary.values())
 
 
 @given(st.lists(finite, min_size=1, max_size=300))
 def test_quantile_estimates_bounded_by_extremes(values):
-    quantiles = QuantileSet()
-    for value in values:
-        quantiles.add(value)
-    summary = quantiles.summary()
+    summary = percentile_summary(values)
     assert summary["min"] == min(values)
     assert summary["max"] == max(values)
-    for key in ("p50", "p90", "p95", "p99"):
+    for key in PERCENTILE_KEYS:
         assert summary["min"] <= summary[key] <= summary["max"]
 
 
-@given(st.lists(finite, min_size=1, max_size=5))
-def test_small_sample_quantiles_are_order_statistics(values):
-    # Below five observations P^2 falls back to exact order statistics,
-    # so the tracked quantiles must be monotone in p.
-    quantiles = QuantileSet()
-    for value in values:
-        quantiles.add(value)
-    summary = quantiles.summary()
+@given(st.lists(finite, min_size=1, max_size=300))
+def test_percentiles_equal_numpy(values):
+    summary = percentile_summary(values)
+    expected = np.percentile(values, [50, 90, 95, 99])
+    assert [summary[key] for key in PERCENTILE_KEYS] == expected.tolist()
+
+
+@given(st.lists(finite, min_size=1, max_size=300))
+def test_percentiles_monotone_in_p(values):
+    summary = percentile_summary(values)
     assert summary["p50"] <= summary["p90"] <= summary["p95"] \
         <= summary["p99"]
 
 
 @given(finite, st.integers(min_value=1, max_value=100))
 def test_constant_stream_estimates_the_constant(value, n):
-    estimator = P2Quantile(0.9)
-    for _ in range(n):
-        estimator.add(value)
-    assert estimator.value == pytest.approx(value)
-
-
-def test_p2_rejects_invalid_inputs():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-    with pytest.raises(ValueError):
-        P2Quantile(0.5).add(math.nan)
-
-
-def test_p2_median_converges_on_uniform_grid():
-    estimator = P2Quantile(0.5)
-    for i in range(1, 1002):
-        estimator.add(i % 1001)
-    assert estimator.value == pytest.approx(500, abs=25)
+    summary = percentile_summary([value] * n)
+    assert set(summary.values()) == {value}
 
 
 # -- Student-t quantile --------------------------------------------------------
