@@ -7,9 +7,7 @@ at a loaded operating point (25 tps, 0.2 s delay):
   vs the paper's delayed (authentication-piggybacked) state;
 * **rerun lock retention** -- Section 3.1 models aborted transactions as
   keeping their surviving locks across the re-run; the ablation releases
-  everything on abort;
-* **update batching** -- the protocol permits batching asynchronous
-  update messages; batching trades message count against staleness.
+  everything on abort.
 """
 
 from conftest import BENCH_SCALE, run_once
@@ -71,24 +69,6 @@ def test_ablation_rerun_lock_retention(benchmark):
     # Both remain stable; the choice is second-order at this load.
     assert keep.throughput > RATE * 0.6   # 'none' saturates near 20 tps
     assert release.throughput > RATE * 0.6
-
-
-def test_ablation_update_batching(benchmark):
-    """Batched asynchronous updates trade messages for staleness."""
-
-    def run():
-        unbatched = _point("none")
-        batched = _point("none", update_batching=4)
-        return unbatched, batched
-
-    unbatched, batched = run_once(benchmark, run)
-    print(f"\n  batch=1 messages-to-central: "
-          f"{unbatched.messages_to_central}")
-    print(f"  batch=4 messages-to-central: {batched.messages_to_central}")
-    assert batched.messages_to_central < unbatched.messages_to_central
-    # Response time must not collapse from batching.
-    assert batched.mean_response_time < \
-        unbatched.mean_response_time * 1.5
 
 
 def test_ablation_update_mix(benchmark):

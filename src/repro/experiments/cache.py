@@ -62,7 +62,11 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #:    pickles would restore them as stray attributes.
 #: 7: ``response_time_percentiles`` became exact; pre-bump pickles hold
 #:    the old streaming (P-squared) estimates.
-CACHE_VERSION = 7
+#: 8: a rejoining site keeps the commit orders that arrive while its
+#:    snapshot installs and central no longer re-sends an auth request
+#:    the site already has, so rejoin results change; SystemConfig lost
+#:    ``update_batching`` / ``update_flush_interval``.
+CACHE_VERSION = 8
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

@@ -27,7 +27,7 @@ from ..db.locks import DeadlockError, LockMode
 from ..db.replica import ReplicaStore
 from ..db.transaction import Placement, Transaction
 from ..db.workload import LockSpacePartition
-from ..sim.engine import Environment, Event, Interrupt, Process
+from ..sim.engine import Environment, Event, Interrupt
 from ..sim.network import Link, Message, ReliableEndpoint
 from ..sim.spans import PHASE_AUTH, PHASE_COMM
 from .base import SiteBase
@@ -74,8 +74,9 @@ class _PendingAuth:
     so late replies can be matched: each master's locks are released
     only *after* its reply arrives (a master grants before replying, so
     a release sent any earlier could overtake the grant and leak the
-    locks forever).  ``requests`` keeps each master's request so it can
-    be re-sent to a site whose crash destroyed the original (rejoin).
+    locks forever).  ``requests`` keeps each master's request message
+    so it can be re-sent to a site whose crash destroyed the original
+    (rejoin).
     """
 
     event: Event
@@ -83,11 +84,13 @@ class _PendingAuth:
     txn_id: int = 0
     cancelled: bool = False
     replies: list[AuthReply] = field(default_factory=list)
-    requests: dict[int, AuthRequest] = field(default_factory=dict)
+    requests: dict[int, Message] = field(default_factory=dict)
 
 
 class CentralSite(SiteBase):
     """The central computing complex of the hybrid architecture."""
+
+    invalidated_cause = "central-invalidated"
 
     def __init__(self, env: Environment, config: "SystemConfig",
                  system: "HybridSystem", partition: LockSpacePartition,
@@ -97,8 +100,6 @@ class CentralSite(SiteBase):
         self.partition = partition
         self.metrics: "MetricsCollector" = system.metrics
 
-        #: Class B and shipped class A transactions currently at central.
-        self.active: dict[int, Transaction] = {}
         #: Central replica of every regional database (update counters).
         self.data = ReplicaStore(name=name)
         self.to_sites: list[Link] = []
@@ -112,8 +113,6 @@ class CentralSite(SiteBase):
 
         # Fault tolerance (populated only when a fault plan is active).
         self.channels: dict[int, ReliableEndpoint] = {}
-        #: Execution processes of admitted transactions (cancel targets).
-        self._processes: dict[int, Process] = {}
         #: Transactions whose response has been sent (cancel -> completed).
         self._finished: set[int] = set()
 
@@ -233,7 +232,7 @@ class CentralSite(SiteBase):
             locks_held=self.locks.total_locks_held(),
         )
 
-    def _send(self, site: int, kind: str, payload) -> None:
+    def _send(self, site: int, kind: str, payload) -> Message:
         self.metrics.record_message(to_central=False, kind=kind, site=site)
         message = Message(kind=kind, source="central", payload=payload)
         channel = self.channels.get(site)
@@ -241,6 +240,7 @@ class CentralSite(SiteBase):
             channel.send(message)
         else:
             self.to_sites[site].send(message)
+        return message
 
     # -- inbound message handling ------------------------------------------------
 
@@ -297,7 +297,7 @@ class CentralSite(SiteBase):
                 txn_id=txn.txn_id, snapshot=self.snapshot()))
             return
         self._processes[txn.txn_id] = self.env.process(
-            self._run_central(txn), name=f"txn-{txn.txn_id}@{self.name}")
+            self._run(txn), name=f"txn-{txn.txn_id}@{self.name}")
 
     def _handle_cancel(self, cancel: ShipmentCancel) -> None:
         """Settle a shipment the home site has given up on.
@@ -381,12 +381,17 @@ class CentralSite(SiteBase):
             yield from self.cpu_burst(recovery.instr_snapshot)
         site = request.site
         # Stalled auth rounds: the request (or its reply) died with the
-        # site's old channel incarnation; re-send over the new one.
+        # site's old channel incarnation; re-send over the new one.  A
+        # request already sent on the new incarnation reaches the site
+        # (which may be answering it now): re-sending it would grant the
+        # round twice and leak the second grant.
+        incarnation = self.channels[site].incarnation
         for pending in self._pending_auth.values():
-            req = pending.requests.get(site)
-            if req is not None and \
+            sent = pending.requests.get(site)
+            if sent is not None and sent.rel_inc != incarnation and \
                     all(reply.site != site for reply in pending.replies):
-                self._send(site, "auth-request", req)
+                pending.requests[site] = self._send(site, "auth-request",
+                                                    sent.payload)
         # Remote locks held by distributed transactions of the dead site
         # would otherwise block other sites' work forever.
         for txn_id, home in list(self._remote_holders.items()):
@@ -467,61 +472,22 @@ class CentralSite(SiteBase):
 
     # -- central transaction execution ----------------------------------------------
 
-    def _run_central(self, txn: Transaction):
-        config = self.config
-        self.active[txn.txn_id] = txn
-        try:
-            while True:
-                txn.begin_run(self.env.now)
-                first_run = txn.run_count == 1
-                if first_run:
-                    yield from self.io_wait(config.io_initial, txn)
-                yield from self.cpu_burst(config.instr_txn_overhead, txn)
-                try:
-                    yield from self._execute_calls(txn, first_run)
-                except DeadlockError:
-                    txn.record_abort(deadlock=True)
-                    self.metrics.record_abort(txn, "deadlock")
-                    self.locks.release_all(txn.txn_id)
-                    txn.locked_entities.clear()
-                    continue
-                # Commit check: invalidated by asynchronous updates?
-                if txn.marked_for_abort:
-                    self._abort_invalidated(txn)
-                    continue
-                committed = yield from self._authenticate_and_commit(txn)
-                if committed:
-                    return
-        except Interrupt:
-            # ShipmentCancel: the home site gave up on this transaction.
-            # Release everything held here (release_all also cancels any
-            # queued lock request) and stop without completing -- the
-            # cancel handshake guarantees nobody still expects a
-            # response.  Master-site locks, if an authentication round
-            # was in flight, are released as its replies arrive (see
-            # _collect_auth_reply / _authenticate_and_commit).
-            self.locks.release_all(txn.txn_id)
-            txn.locked_entities.clear()
-            self.metrics.record_cancelled(txn)
-        finally:
-            self.active.pop(txn.txn_id, None)
-            self._processes.pop(txn.txn_id, None)
+    def _finish(self, txn: Transaction):
+        # Returns the generator itself: no extra ``yield from`` level.
+        return self._authenticate_and_commit(txn)
 
-    def _execute_calls(self, txn: Transaction, first_run: bool):
-        config = self.config
-        for reference in txn.references:
-            if not self.locks.is_held_by(reference.entity, txn.txn_id):
-                yield from self.lock_wait(txn, reference)
-            yield from self.cpu_burst(config.instr_per_db_call, txn)
-            if first_run:
-                yield from self.io_wait(config.io_per_db_call, txn)
+    def _interrupted(self, txn: Transaction) -> None:
+        """ShipmentCancel: the home site gave up on this transaction.
 
-    def _abort_invalidated(self, txn: Transaction) -> None:
-        txn.record_abort()
-        self.metrics.record_abort(txn, "central-invalidated")
-        if not self.config.keep_locks_on_abort:
-            self.locks.release_all(txn.txn_id)
-            txn.locked_entities.clear()
+        Release everything held here (``release_all`` also cancels any
+        queued lock request) and stop without completing -- the cancel
+        handshake guarantees nobody still expects a response.  Master
+        locks, if an authentication round was in flight, are released
+        as its replies arrive (see ``_collect_auth_reply`` and
+        ``_authenticate_and_commit``).
+        """
+        self._release(txn)
+        self.metrics.record_cancelled(txn)
 
     def _masters_of(self, txn: Transaction) -> dict[int, list]:
         """Group the transaction's references by master site.
@@ -564,8 +530,8 @@ class CentralSite(SiteBase):
                     auth_id=auth_id, txn_id=txn.txn_id,
                     references=tuple(references),
                     snapshot=self.snapshot(), deadline=txn.deadline)
-                pending.requests[site] = request
-                self._send(site, "auth-request", request)
+                pending.requests[site] = self._send(site, "auth-request",
+                                                    request)
             # Both message legs plus the master-site checks count as the
             # authentication phase of this transaction's timeline.
             txn.spans.enter(PHASE_AUTH, self.env.now)
@@ -602,7 +568,7 @@ class CentralSite(SiteBase):
             yield from self.cpu_burst(config.instr_commit, txn)
         except Interrupt:
             # Cancelled before the commit message: undo the granted
-            # authentications, then let _run_central clean up the rest.
+            # authentications, then let _interrupted clean up the rest.
             self._release_masters(txn, masters)
             raise
         if txn.marked_for_abort:
@@ -622,8 +588,7 @@ class CentralSite(SiteBase):
             self._send(site, "commit", CommitOrder(
                 txn_id=txn.txn_id, snapshot=self.snapshot(),
                 updates=site_updates))
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         # The transaction no longer occupies the central site; the output
         # message travels back to the user's region.
         self.active.pop(txn.txn_id, None)

@@ -70,11 +70,6 @@ class SystemConfig:
     #: transaction".  Setting this True also refreshes it from the
     #: acknowledgements of asynchronous updates (an ablation).
     snapshot_on_update_acks: bool = False
-    update_batching: int = 1           # async updates per message (>=1)
-    #: With batching > 1, a partially filled batch is flushed after this
-    #: many seconds so updates are never stranded (and coherence counts
-    #: always drain).
-    update_flush_interval: float = 0.25
     #: Where class B transactions execute: "central" (the hybrid
     #: architecture of the paper) or "remote-call" (the fully distributed
     #: alternative of the introduction: run at the home site, fetch each
@@ -107,9 +102,8 @@ class SystemConfig:
         """Reject physically meaningless parameterisations.
 
         Raises :class:`ValueError` on non-positive MIPS ratings, negative
-        communication delay, ``update_batching < 1``,
-        ``update_flush_interval <= 0`` and the remaining sanity bounds
-        (mirroring ``RunSettings``'s fail-fast validation).  Called from
+        communication delay and the remaining sanity bounds (mirroring
+        ``RunSettings``'s fail-fast validation).  Called from
         ``__post_init__`` so no invalid instance can exist, but callable
         directly on configurations rebuilt via ``dataclasses.replace``
         pipelines or deserialisation.
@@ -128,13 +122,6 @@ class SystemConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.io_initial < 0 or self.io_per_db_call < 0:
             raise ValueError("negative I/O time")
-        if self.update_batching < 1:
-            raise ValueError(
-                f"update_batching must be >= 1, got {self.update_batching}")
-        if self.update_flush_interval <= 0:
-            raise ValueError(
-                f"update_flush_interval must be positive, got "
-                f"{self.update_flush_interval}")
         if self.class_b_mode not in ("central", "remote-call"):
             raise ValueError(
                 f"class_b_mode must be 'central' or 'remote-call', got "

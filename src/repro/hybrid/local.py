@@ -151,6 +151,8 @@ class CircuitBreaker:
 class LocalSite(SiteBase):
     """One geographically distributed system of the hybrid architecture."""
 
+    invalidated_cause = "local-invalidated"
+
     def __init__(self, env: Environment, site_id: int,
                  config: "SystemConfig", system: "HybridSystem",
                  router: "Router"):
@@ -161,8 +163,6 @@ class LocalSite(SiteBase):
         self.router = router
         self.metrics: "MetricsCollector" = system.metrics
 
-        #: Class A transactions currently running at this site.
-        self.active: dict[int, Transaction] = {}
         #: Master replica of this region's data (update counters).
         self.data = ReplicaStore(name=f"site-{site_id}")
         #: Transactions shipped from this site and not yet responded.
@@ -174,7 +174,6 @@ class LocalSite(SiteBase):
         self.to_central: Link | None = None
         self.from_central: Link | None = None
 
-        self._update_buffer: list[tuple[int, ...]] = []
         #: Per-site monotone batch number for update propagation; every
         #: sent batch is tracked until its ack arrives so a stale or
         #: duplicated ack (crash/failover re-sends) cannot drive a
@@ -184,6 +183,8 @@ class LocalSite(SiteBase):
         # Remote-call bookkeeping (fully distributed class B mode).
         self._remote_call_ids = 0
         self._pending_remote_calls: dict[int, "Event"] = {}
+        #: Remote locks each distributed transaction holds at central.
+        self._remote_locked: dict[int, set[int]] = {}
 
         # Fault tolerance (populated only when a fault plan is active;
         # everything below stays inert otherwise).
@@ -211,8 +212,6 @@ class LocalSite(SiteBase):
         self._rejoin_started = 0.0
         #: Arrivals queued during crash/recovery (bounded admission).
         self._admission_queue: list[Transaction] = []
-        #: Running transaction processes, so a crash can interrupt them.
-        self._local_processes: dict[int, Process] = {}
         #: Shipment watchdogs, likewise interruptible on crash.
         self._watchdogs: dict[int, Process] = {}
         self.breaker: CircuitBreaker | None = None
@@ -227,9 +226,6 @@ class LocalSite(SiteBase):
         self.to_central = to_central
         self.from_central = from_central
         self.env.process(self._dispatch(), name=f"{self.name}:dispatch")
-        if self.config.update_batching > 1:
-            self.env.process(self._flush_loop(),
-                             name=f"{self.name}:flush")
 
     def enable_reliability(self, channel: ReliableEndpoint,
                            retry: "RetryPolicy") -> None:
@@ -298,8 +294,7 @@ class LocalSite(SiteBase):
             if self.config.class_b_mode == "remote-call":
                 txn.route(Placement.DISTRIBUTED)
                 self.metrics.record_routing(txn, reason="class-b")
-                self._start_process(txn, self._run_distributed(txn),
-                                    suffix=":dist")
+                self._start_process(txn, self._run(txn), suffix=":dist")
             else:
                 txn.route(Placement.CENTRAL)
                 self.metrics.record_routing(txn, reason="class-b")
@@ -319,7 +314,7 @@ class LocalSite(SiteBase):
             self.metrics.record_fallback_routing(txn, fallback)
             self.metrics.record_routing(txn,
                                         reason=f"fallback:{fallback}")
-            self._start_process(txn, self._run_local(txn))
+            self._start_process(txn, self._run(txn))
             return
         observation = self.observe()
         decision = self.router.decide(txn, observation)
@@ -327,7 +322,7 @@ class LocalSite(SiteBase):
         self.metrics.record_routing(txn, observation=observation,
                                     reason="strategy")
         if decision is Placement.LOCAL:
-            self._start_process(txn, self._run_local(txn))
+            self._start_process(txn, self._run(txn))
         else:
             self.shipped_in_flight += 1
             self._ship(txn)
@@ -337,7 +332,7 @@ class LocalSite(SiteBase):
         """Spawn and register a transaction process (crash-interruptible)."""
         process = self.env.process(
             generator, name=f"txn-{txn.txn_id}@{self.name}{suffix}")
-        self._local_processes[txn.txn_id] = process
+        self._processes[txn.txn_id] = process
 
     def _fallback_reason(self) -> str | None:
         """Why class A must stay local, or ``None`` when central is fine.
@@ -466,12 +461,7 @@ class LocalSite(SiteBase):
                 self.metrics.record_failure(txn, cause="deadline")
                 return
             if txn.txn_class is TransactionClass.A:
-                # Fail over: re-run the class A transaction at home.
-                self.shipped_in_flight -= 1
-                txn.route(Placement.LOCAL)
-                self.metrics.record_failover(txn)
-                self._start_process(txn, self._run_local(txn),
-                                    suffix=":failover")
+                self._rerun_locally(txn, ":failover")
             else:
                 # Class B can only run centrally; the transaction fails.
                 self.metrics.record_failure(txn,
@@ -516,100 +506,47 @@ class LocalSite(SiteBase):
         if txn is None:
             return
         if txn.txn_class is TransactionClass.A:
-            self.shipped_in_flight -= 1
-            txn.route(Placement.LOCAL)
-            self.metrics.record_failover(txn)
-            self._start_process(txn, self._run_local(txn),
-                                suffix=":overload")
+            self._rerun_locally(txn, ":overload")
         else:
             self.metrics.record_failure(txn, cause="central-overload")
 
+    def _rerun_locally(self, txn: Transaction, suffix: str) -> None:
+        """Fail a shipped class A transaction over to a run at home."""
+        self.shipped_in_flight -= 1
+        txn.route(Placement.LOCAL)
+        self.metrics.record_failover(txn)
+        self._start_process(txn, self._run(txn), suffix=suffix)
+
     # -- local class A execution ----------------------------------------------
 
-    def _run_local(self, txn: Transaction):
-        config = self.config
-        self.active[txn.txn_id] = txn
-        try:
-            while True:
-                txn.begin_run(self.env.now)
-                first_run = txn.run_count == 1
-                if first_run:
-                    yield from self.io_wait(config.io_initial, txn)
-                yield from self.cpu_burst(config.instr_txn_overhead, txn)
-                try:
-                    yield from self._execute_calls(txn, first_run)
-                except DeadlockError:
-                    self._abort_deadlock(txn)
-                    continue
-                # Commit time: first check the abort mark set by committed
-                # shipped/central transactions (Section 2).
-                if txn.marked_for_abort:
-                    self._abort_invalidated(txn)
-                    continue
-                yield from self.cpu_burst(config.instr_commit, txn)
-                # Re-check after commit processing: an authentication may
-                # have evicted us while we held the CPU for the commit
-                # burst; the check and the release must be atomic with
-                # respect to authentication handling.
-                if txn.marked_for_abort:
-                    self._abort_invalidated(txn)
-                    continue
-                committed = yield from self._commit_phase(txn)
-                if committed:
-                    return
-        except Interrupt:
-            self._lose_to_crash(txn)
-        finally:
-            self.active.pop(txn.txn_id, None)
-            self._local_processes.pop(txn.txn_id, None)
+    def _finish(self, txn: Transaction):
+        """Commit processing, the re-check, then the commit protocol."""
+        yield from self.cpu_burst(self.config.instr_commit, txn)
+        # Re-check after commit processing: an authentication may have
+        # evicted us while we held the CPU for the commit burst; the
+        # check and the release must be atomic with respect to
+        # authentication handling.
+        if txn.marked_for_abort:
+            self._abort_invalidated(txn)
+            return False
+        if txn.placement is Placement.DISTRIBUTED:
+            self._commit_distributed(txn)
+            return True
+        return (yield from self._commit_phase(txn))
 
-    def _lose_to_crash(self, txn: Transaction) -> None:
+    def _interrupted(self, txn: Transaction) -> None:
         """The site crashed under this running transaction."""
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         self.txns_lost_in_crash += 1
         self.metrics.record_lost_in_crash(txn)
 
-    def _execute_calls(self, txn: Transaction, first_run: bool):
-        """The ten database calls: lock, CPU burst, data I/O."""
-        config = self.config
-        for reference in txn.references:
-            if not self.locks.is_held_by(reference.entity, txn.txn_id):
-                # Raises DeadlockError on a cycle.
-                yield from self.lock_wait(txn, reference)
-            yield from self.cpu_burst(config.instr_per_db_call, txn)
-            if first_run:
-                yield from self.io_wait(config.io_per_db_call, txn)
-
-    def _abort_deadlock(self, txn: Transaction) -> None:
-        """Deadlock victim: release *all* locks (Section 4.1) and re-run."""
-        txn.record_abort(deadlock=True)
-        self.metrics.record_abort(txn, "deadlock")
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
-
-    def _abort_invalidated(self, txn: Transaction) -> None:
-        """Aborted by a committed central/shipped transaction."""
-        txn.record_abort()
-        self.metrics.record_abort(txn, "local-invalidated")
-        if not self.config.keep_locks_on_abort:
-            self.locks.release_all(txn.txn_id)
-            txn.locked_entities.clear()
-        # Under the paper's modelling assumption surviving locks are kept;
-        # entities taken by the authenticating transaction were already
-        # removed from ``locked_entities`` during eviction.
-
     def _commit_phase(self, txn: Transaction):
         """Commit-protocol hook: finish a transaction that passed its
-        abort checks.  Returns ``True`` when the transaction's run is
-        over (committed, or its completion delegated elsewhere) and
-        ``False`` to re-execute it (protocols whose commit round can be
-        refused).
+        abort checks.  Returns ``True`` when the run is over (committed,
+        or its completion delegated elsewhere) and ``False`` to re-run.
 
         The default is the optimistic protocol's synchronous local
-        commit.  This generator never yields, so ``yield from`` runs it
-        as a plain call -- the extraction changes nothing about the
-        event stream, which the golden-trace gate pins byte-for-byte.
+        commit; it never yields, so ``yield from`` runs it as a call.
         """
         self._commit(txn)
         return True
@@ -617,41 +554,38 @@ class LocalSite(SiteBase):
 
     def _commit(self, txn: Transaction) -> None:
         """Release locks, start asynchronous propagation, complete."""
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
-        updates = txn.update_entities
-        if updates:
-            self.data.apply_updates(updates)
-            for entity in updates:
-                self.locks.increment_coherence(entity)
-            self._queue_update(updates)
+        self._release(txn)
+        if txn.update_entities:
+            self._propagate(txn.update_entities)
+        self._complete(txn)
+
+    def _complete(self, txn: Transaction) -> None:
+        """A transaction run here responds to its user."""
         txn.complete(self.env.now)
         self.metrics.record_completion(txn)
         self.router.observe_completion(txn)
 
-    def _queue_update(self, updates: tuple[int, ...]) -> None:
-        """Send (or batch) the asynchronous update propagation message."""
-        self._update_buffer.append(updates)
-        if len(self._update_buffer) >= self.config.update_batching:
-            self._flush_updates()
+    def _propagate(self, updates: tuple[int, ...]) -> None:
+        """Apply committed updates to the master copy, raise their
+        coherence counts and queue their propagation to central."""
+        self.data.apply_updates(updates)
+        for entity in updates:
+            self.locks.increment_coherence(entity)
+        self._queue_update(updates)
 
-    def _flush_updates(self) -> None:
-        if not self._update_buffer:
-            return
-        batch = tuple(self._update_buffer)
-        self._update_buffer.clear()
+    def _queue_update(self, updates: tuple[int, ...]) -> None:
+        """Send the commit's asynchronous update propagation message."""
+        self._send_updates((updates,))
+
+    def _send_updates(self, batch: tuple[tuple[int, ...], ...]) -> int:
+        """Send one update batch under the next sequence number, tracked
+        until its ack arrives; returns that number."""
         self._update_seq += 1
         seq = self._update_seq
         self._unacked_updates[seq] = batch
         self._send_central("update",
                            UpdatePropagation(self.site_id, batch, seq=seq))
-
-    def _flush_loop(self):
-        """Periodic flush so partial batches are never stranded."""
-        interval = self.config.update_flush_interval
-        while True:
-            yield self.env.timeout(interval)
-            self._flush_updates()
+        return seq
 
     # -- fully distributed class B execution (remote-call mode) -----------------
 
@@ -670,69 +604,32 @@ class LocalSite(SiteBase):
                        if not low <= ref.entity < high]
         return local_refs, remote_refs
 
-    def _run_distributed(self, txn: Transaction):
-        """Run a class B transaction here, with remote calls for
-        non-local data (the introduction's fully distributed mode)."""
-        config = self.config
+    def _execute_calls(self, txn: Transaction, references,
+                       first_run: bool):
+        if txn.placement is Placement.DISTRIBUTED:
+            return self._distributed_calls(txn, first_run)
+        return super()._execute_calls(txn, references, first_run)
+
+    def _distributed_calls(self, txn: Transaction, first_run: bool):
+        """Home-partition data under local locking, then remote data
+        from the central server (the introduction's fully distributed
+        mode); a refused remote lock aborts the run like a deadlock."""
         local_refs, remote_refs = self._split_references(txn)
-        remote_locked: set[int] = set()
-        self.active[txn.txn_id] = txn
-        try:
-            while True:
-                txn.begin_run(self.env.now)
-                first_run = txn.run_count == 1
-                if first_run:
-                    yield from self.io_wait(config.io_initial, txn)
-                yield from self.cpu_burst(config.instr_txn_overhead, txn)
-                try:
-                    # Phase 1: home-partition data under local locking.
-                    for reference in local_refs:
-                        if not self.locks.is_held_by(reference.entity,
-                                                     txn.txn_id):
-                            yield from self.lock_wait(txn, reference)
-                        yield from self.cpu_burst(
-                            config.instr_per_db_call, txn)
-                        if first_run:
-                            yield from self.io_wait(
-                                config.io_per_db_call, txn)
-                    # Phase 2: remote data from the central server.
-                    for reference in remote_refs:
-                        if reference.entity not in remote_locked:
-                            granted = yield from self._remote_call(
-                                txn, reference)
-                            if not granted:
-                                raise DeadlockError(txn.txn_id,
-                                                    reference.entity)
-                            remote_locked.add(reference.entity)
-                        yield from self.cpu_burst(
-                            config.instr_per_db_call, txn)
-                except DeadlockError:
-                    txn.record_abort(deadlock=True)
-                    self.metrics.record_abort(txn, "deadlock")
-                    self.locks.release_all(txn.txn_id)
-                    txn.locked_entities.clear()
-                    if remote_locked:
-                        self._send_remote(RemoteRelease(
-                            txn_id=txn.txn_id, site=self.site_id),
-                            kind="remote-release")
-                        remote_locked.clear()
-                    continue
-                if txn.marked_for_abort:
-                    self._abort_invalidated(txn)
-                    continue
-                yield from self.cpu_burst(config.instr_commit, txn)
-                if txn.marked_for_abort:
-                    self._abort_invalidated(txn)
-                    continue
-                self._commit_distributed(txn, remote_locked)
-                return
-        except Interrupt:
-            # Remote locks of the dead transaction are cleaned up by the
-            # central complex during the rejoin handshake.
-            self._lose_to_crash(txn)
-        finally:
-            self.active.pop(txn.txn_id, None)
-            self._local_processes.pop(txn.txn_id, None)
+        yield from super()._execute_calls(txn, local_refs, first_run)
+        remote_locked = self._remote_locked.setdefault(txn.txn_id, set())
+        for reference in remote_refs:
+            if reference.entity not in remote_locked:
+                granted = yield from self._remote_call(txn, reference)
+                if not granted:
+                    raise DeadlockError(txn.txn_id, reference.entity)
+                remote_locked.add(reference.entity)
+            yield from self.cpu_burst(self.config.instr_per_db_call, txn)
+
+    def _abort_deadlock(self, txn: Transaction) -> None:
+        super()._abort_deadlock(txn)
+        if self._remote_locked.pop(txn.txn_id, None):
+            self._send_central("remote-release", RemoteRelease(
+                txn_id=txn.txn_id, site=self.site_id))
 
     def _remote_call(self, txn: Transaction, reference: Reference):
         """Synchronous lock-and-fetch round trip to the data server."""
@@ -740,10 +637,9 @@ class LocalSite(SiteBase):
         call_id = self._remote_call_ids
         done = Event(self.env)
         self._pending_remote_calls[call_id] = done
-        self._send_remote(RemoteLockRequest(
+        self._send_central("remote-lock", RemoteLockRequest(
             call_id=call_id, txn_id=txn.txn_id, site=self.site_id,
-            entity=reference.entity, mode=reference.mode),
-            kind="remote-lock")
+            entity=reference.entity, mode=reference.mode))
         # The round trip (both legs plus central-side queueing/locking)
         # is communication from this transaction's point of view.
         txn.spans.enter(PHASE_COMM, self.env.now)
@@ -751,29 +647,22 @@ class LocalSite(SiteBase):
         txn.spans.exit(self.env.now)
         return reply.granted
 
-    def _send_remote(self, payload, kind: str) -> None:
-        self._send_central(kind, payload)
-
-    def _commit_distributed(self, txn: Transaction,
-                            remote_locked: set[int]) -> None:
+    def _commit_distributed(self, txn: Transaction) -> None:
         """Commit: local part like a class A commit, remote part via the
         data server (which forwards updates to the owning masters)."""
+        remote_locked = self._remote_locked.pop(txn.txn_id, None)
         low, high = self.system.partition.site_range(self.site_id)
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         home_updates = tuple(entity for entity in txn.update_entities
                              if low <= entity < high)
         remote_updates = tuple(entity for entity in txn.update_entities
                                if not low <= entity < high)
         if home_updates:
-            self.data.apply_updates(home_updates)
-            for entity in home_updates:
-                self.locks.increment_coherence(entity)
-            self._queue_update(home_updates)
+            self._propagate(home_updates)
         if remote_locked or remote_updates:
-            self._send_remote(RemoteCommit(
+            self._send_central("remote-commit", RemoteCommit(
                 txn_id=txn.txn_id, site=self.site_id,
-                updates=remote_updates), kind="remote-commit")
+                updates=remote_updates))
         txn.complete(self.env.now)
         self.metrics.record_completion(txn)
 
@@ -986,11 +875,7 @@ class LocalSite(SiteBase):
 
     def _redispatch_after_failover(self, txn: Transaction) -> None:
         if txn.txn_class is TransactionClass.A:
-            self.shipped_in_flight -= 1
-            txn.route(Placement.LOCAL)
-            self.metrics.record_failover(txn)
-            self._start_process(txn, self._run_local(txn),
-                                suffix=":failover")
+            self._rerun_locally(txn, ":failover")
         else:
             # Class B can only run centrally: re-ship to the standby.
             # This is the availability win over degrade-only operation,
@@ -1009,10 +894,8 @@ class LocalSite(SiteBase):
         what the rejoin snapshot can rebuild: nothing.
         """
         self.crashed = True
-        for process in list(self._local_processes.values()):
-            if process.is_alive:
-                process.interrupt("site-crash")
-        for process in list(self._watchdogs.values()):
+        for process in [*self._processes.values(),
+                        *self._watchdogs.values()]:
             if process.is_alive:
                 process.interrupt("site-crash")
         for txn_id in sorted(self._pending_ship):
@@ -1023,7 +906,9 @@ class LocalSite(SiteBase):
             self.metrics.record_lost_in_crash(txn)
         self._pending_cancels.clear()
         self._pending_remote_calls.clear()
-        self._update_buffer.clear()
+        # Remote locks of the dead transactions are cleaned up by the
+        # central complex during the rejoin handshake.
+        self._remote_locked.clear()
         self._unacked_updates.clear()
         # Fresh volatile state: lock table (with its coherence counts)
         # and replica counters are gone.
@@ -1055,13 +940,18 @@ class LocalSite(SiteBase):
         self._send_central("rejoin", RejoinRequest(site=self.site_id))
 
     def _install_rejoin_snapshot(self, snap: RejoinSnapshot):
-        """Catch-up state arrived: install it and open for business."""
-        recovery = self.recovery
-        if recovery is not None and recovery.instr_snapshot_apply:
-            yield from self.cpu_burst(recovery.instr_snapshot_apply)
+        """Catch-up state arrived: install it and open for business.
+
+        The store is replaced on arrival, before the apply burst: the
+        channel is FIFO, so every commit order received earlier is
+        already in the snapshot and every later one must land on top.
+        """
         store = ReplicaStore(name=f"site-{self.site_id}")
         store.restore(snap.counts)
         self.data = store
+        recovery = self.recovery
+        if recovery is not None and recovery.instr_snapshot_apply:
+            yield from self.cpu_burst(recovery.instr_snapshot_apply)
         self.recovering = False
         self.metrics.record_recovery("rejoin", self.site_id,
                                      self._rejoin_started, self.env.now)

@@ -50,6 +50,9 @@ class EpochLocalSite(LocalSite):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        #: Update groups committed this epoch, shipped as one batch at
+        #: the boundary.
+        self._update_buffer: list[tuple[int, ...]] = []
         #: Updating transactions committed this epoch, awaiting the
         #: boundary flush.
         self._epoch_pending: list[Transaction] = []
@@ -57,11 +60,7 @@ class EpochLocalSite(LocalSite):
         self._awaiting_ack: dict[int, tuple[Transaction, ...]] = {}
 
     def attach_links(self, to_central, from_central) -> None:
-        self.to_central = to_central
-        self.from_central = from_central
-        self.env.process(self._dispatch(), name=f"{self.name}:dispatch")
-        # One flush cadence: the epoch boundary (replaces the batching
-        # threshold and the partial-batch flush loop alike).
+        super().attach_links(to_central, from_central)
         self.env.process(self._epoch_loop(), name=f"{self.name}:epoch")
 
     def _epoch_loop(self):
@@ -71,7 +70,6 @@ class EpochLocalSite(LocalSite):
             self._flush_updates()
 
     def _queue_update(self, updates: tuple[int, ...]) -> None:
-        # Buffer for the epoch boundary; never flush on a threshold.
         self._update_buffer.append(updates)
 
     def _flush_updates(self) -> None:
@@ -79,30 +77,22 @@ class EpochLocalSite(LocalSite):
         self._epoch_pending.clear()
         if not self._update_buffer:
             return
-        seq_before = self._update_seq
-        super()._flush_updates()
-        seq = self._update_seq
-        assert seq == seq_before + 1
+        seq = self._send_updates(tuple(self._update_buffer))
+        self._update_buffer.clear()
         if pending:
             self._awaiting_ack[seq] = pending
         self.metrics.record_protocol_event("epoch-flush")
 
     def _commit_phase(self, txn):
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         updates = txn.update_entities
         if not updates:
             # Read-only: nothing to make durable, respond immediately.
-            txn.complete(self.env.now)
-            self.metrics.record_completion(txn)
-            self.router.observe_completion(txn)
+            self._complete(txn)
             return True
         # Group commit: apply and unlock now (later local transactions
         # see the writes), respond at the epoch ack.
-        self.data.apply_updates(updates)
-        for entity in updates:
-            self.locks.increment_coherence(entity)
-        self._queue_update(updates)
+        self._propagate(updates)
         self._epoch_pending.append(txn)
         self.metrics.record_protocol_event("group-commit-deferred")
         txn.spans.enter(PHASE_COMM, self.env.now)
@@ -116,20 +106,14 @@ class EpochLocalSite(LocalSite):
             return
         for txn in self._awaiting_ack.pop(ack.seq, ()):
             self.metrics.record_protocol_event("group-commit")
-            txn.complete(self.env.now)
-            self.metrics.record_completion(txn)
-            self.router.observe_completion(txn)
+            self._complete(txn)
 
     def _handle_epoch_commit(self, order: EpochCommitOrder) -> None:
         """A central transaction epoch-committed: apply its updates for
         entities mastered here and invalidate conflicting local holders
         (the epoch order wins; there are no master locks to release)."""
         self.data.apply_updates(order.updates)
-        for entity in order.updates:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-epoch-commit")
+        self._mark_holders(order.updates, "invalidated-by-epoch-commit")
 
     def _on_central_message(self, message) -> None:
         payload = message.payload
@@ -142,8 +126,8 @@ class EpochLocalSite(LocalSite):
 
     def on_crash(self) -> None:
         # Transactions whose response was parked on an epoch ack die
-        # with the volatile state (the base hook clears the buffers and
-        # unacked batches they ride on).
+        # with the volatile state (the base hook clears the unacked
+        # batches they ride on).
         waiting = [txn for seq in sorted(self._awaiting_ack)
                    for txn in self._awaiting_ack[seq]]
         waiting.extend(self._epoch_pending)
@@ -153,6 +137,7 @@ class EpochLocalSite(LocalSite):
             self.metrics.record_lost_in_crash(txn)
         self._awaiting_ack.clear()
         self._epoch_pending.clear()
+        self._update_buffer.clear()
 
 
 class EpochCentralMixin:
@@ -247,8 +232,7 @@ class EpochCentralMixin:
                 self._send(site, "epoch-commit", EpochCommitOrder(
                     txn_id=txn.txn_id, snapshot=self.snapshot(),
                     updates=site_updates))
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         self.active.pop(txn.txn_id, None)
         if self.channels:
             self._finished.add(txn.txn_id)

@@ -27,7 +27,7 @@ class OptimisticProtocol(CommitProtocol):
     name = "optimistic"
 
     messages_per_local_commit = ("1 async ``UpdatePropagation`` + 1 "
-                                 "``UpdateAck`` (amortised by batching)")
+                                 "``UpdateAck``")
     blocking = ("non-blocking: local commits never wait on the central; "
                 "coherence counts defer conflicts to authentication")
     consistency = ("eventual between commits; exact after drain "

@@ -93,12 +93,9 @@ class TwoPhaseLocalSite(LocalSite):
         self._send_central("decision", TxnDecision(
             txn_id=txn.txn_id, site=self.site_id, commit=True,
             updates=updates))
-        self.locks.release_all(txn.txn_id)
-        txn.locked_entities.clear()
+        self._release(txn)
         self.data.apply_updates(updates)
-        txn.complete(self.env.now)
-        self.metrics.record_completion(txn)
-        self.router.observe_completion(txn)
+        self._complete(txn)
         return True
 
     # -- the central-coordinated leg at the master --------------------------
@@ -216,11 +213,7 @@ class TwoPhaseCentralMixin:
         self.metrics.record_protocol_event("decision-commit")
         yield from self.cpu_burst(self.config.instr_update_apply)
         self.data.apply_updates(decision.updates)
-        for entity in decision.updates:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-update")
+        self._mark_holders(decision.updates, "invalidated-by-update")
         self._ship_log("commit", (tuple(decision.updates),))
 
     def _on_deposed(self) -> None:

@@ -101,11 +101,7 @@ class StandbyCentral(CentralSite):
         if self.is_active and self.active:
             # Post-takeover stragglers from the dying primary can still
             # invalidate transactions now running here.
-            for entity in entities:
-                for holder_id in list(self.locks.held_modes(entity)):
-                    victim = self.active.get(holder_id)
-                    if victim is not None and not victim.marked_for_abort:
-                        victim.mark_for_abort("invalidated-by-update")
+            self._mark_holders(entities, "invalidated-by-update")
 
     # -- failure detection and takeover --------------------------------------
 

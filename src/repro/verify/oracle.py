@@ -56,9 +56,10 @@ def degenerate_md1_config(settings: VerifySettings,
                           rate: float = MD1_RATE) -> SystemConfig:
     """One site, zero locks, zero I/O, zero commit pathlength.
 
-    In this configuration ``LocalSite._run_local`` reduces to a single
-    ``cpu_burst(instr_txn_overhead)``: deterministic service under
-    Poisson arrivals on a FIFO CPU -- the textbook M/D/1 queue.
+    In this configuration a local transaction's run (``SiteBase._run``)
+    reduces to a single ``cpu_burst(instr_txn_overhead)``: deterministic
+    service under Poisson arrivals on a FIFO CPU -- the textbook M/D/1
+    queue.
     """
     workload = WorkloadParams(n_sites=1, lockspace=1024, locks_per_txn=0,
                               p_local=1.0, arrival_rate_per_site=rate)

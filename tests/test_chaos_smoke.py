@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import STRATEGIES
+from repro.db.replica import replica_divergence
 from repro.hybrid import HybridSystem, paper_config
 from repro.hybrid.checker import attach_checker
 from repro.sim.faults import (
@@ -137,6 +138,38 @@ def test_rejoin_restores_crashed_site_with_catchup():
     assert site.locks.locks_granted > 0
     assert len(site._admission_queue) == 0
     assert checker.stats.audits > 50
+
+
+@pytest.mark.parametrize("protocol", ["optimistic", "epoch"])
+def test_drained_rejoin_leaves_nothing_behind(protocol):
+    """After a crash-rejoin and a drain, the rejoined site's replica
+    matches central's and no lock, transaction or update is stranded.
+
+    Guards two rejoin faults: commit orders applied while the snapshot
+    installed were overwritten by it (replica divergence), and central
+    re-sent an auth request the rejoined site was already answering, so
+    the second grant was never released (a local transaction waited on
+    it forever).
+    """
+    config = paper_config(total_rate=22.0, warmup_time=WARMUP,
+                          measure_time=MEASURE, seed=29, protocol=protocol)
+    plan = rejoin_crash_plan(warmup_time=WARMUP, measure_time=MEASURE,
+                             site=0, retry=RETRY)
+    system = HybridSystem(config, STRATEGIES["static-optimal"](config),
+                          fault_plan=plan)
+    attach_checker(system)
+    system.env.run(until=WARMUP + MEASURE)
+    for arrival in system.arrivals:
+        arrival.process.interrupt("stop")
+    system.env.run(until=WARMUP + MEASURE + 120.0)
+    assert [record.kind for record in system.metrics.recoveries] == \
+        ["rejoin"]
+    assert replica_divergence(system) == {}
+    assert not system.central.active
+    for site in system.sites:
+        assert not site.active, (site.site_id, sorted(site.active))
+        assert not site._pending_ship, site.site_id
+        assert not site._unacked_updates, site.site_id
 
 
 def test_breaker_flaps_and_recovers_under_link_degradation():

@@ -102,7 +102,7 @@ def test_run_until():
     {"comm_delay": -0.1},
     {"instr_commit": -1},
     {"io_initial": -0.1},
-    {"update_batching": 0},
+    {"epoch_interval": 0.0},
     {"measure_time": 0.0},
 ])
 def test_invalid_config_rejected(kwargs):

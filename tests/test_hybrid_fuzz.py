@@ -37,7 +37,6 @@ txn_strategy = st.fixed_dictionaries({
 #: Protocol option combinations the fuzz also exercises.
 option_strategy = st.fixed_dictionaries({
     "keep_locks_on_abort": st.booleans(),
-    "update_batching": st.sampled_from([1, 3]),
     "comm_delay": st.sampled_from([0.05, 0.2, 0.5]),
 })
 

@@ -317,11 +317,3 @@ def test_delayed_central_state_starts_stale():
     assert observation.central_state_age == float("inf")
 
 
-def test_update_batching_reduces_messages():
-    base = paper_config(total_rate=15.0, warmup_time=10.0,
-                        measure_time=40.0)
-    unbatched = HybridSystem(base, lambda c, i: AlwaysLocalRouter()).run()
-    batched_cfg = base.with_options(update_batching=4)
-    batched = HybridSystem(batched_cfg,
-                           lambda c, i: AlwaysLocalRouter()).run()
-    assert batched.messages_to_central < unbatched.messages_to_central

@@ -71,11 +71,6 @@ def test_replicas_converge_with_large_delay():
     assert replica_divergence(system) == {}
 
 
-def test_replicas_converge_with_batching():
-    system = drained_system("none", 15.0, update_batching=4)
-    assert replica_divergence(system) == {}
-
-
 def test_central_commits_reach_masters():
     """Exactly-once on both sides, accounting for the unowned tail."""
     system = drained_system("min-average-population", 22.0)

@@ -60,11 +60,6 @@ def test_split_references_orders_home_first():
     assert [ref.entity for ref in remote_refs] == [other, other + 1]
 
 
-def test_update_flush_interval_validated():
-    with pytest.raises(ValueError):
-        paper_config(total_rate=5.0, update_flush_interval=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Analytic model internals
 # ---------------------------------------------------------------------------

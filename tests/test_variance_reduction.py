@@ -142,8 +142,9 @@ def test_flags_off_point_is_plain():
 def test_cache_version_bumped_for_covariate_fields():
     # SimulationResult gained covariates/covariate_means at version 4
     # and lost them again at 6; pickles of either schema must not be
-    # read back (7 made the percentiles exact).
-    assert CACHE_VERSION == 7
+    # read back (7 made the percentiles exact; 8 fixed the rejoin
+    # faults and dropped the update-batching config fields).
+    assert CACHE_VERSION == 8
 
 
 # -- adaptive integration ----------------------------------------------------
