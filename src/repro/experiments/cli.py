@@ -34,6 +34,7 @@ import time
 from dataclasses import replace
 
 from ..core import STRATEGIES
+from ..hybrid.config import PROTOCOLS
 from ..obs.logconf import add_logging_flags, setup_cli_logging
 from ..sim.trace import Tracer
 from .cache import ResultCache, default_cache_dir
@@ -157,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default optimistic; see "
                              "`hybriddb-experiment --list-protocols`)")
     parser.add_argument("--list-protocols", action="store_true",
-                        help="list registered commit protocols and exit")
+                        help="list the commit protocols and exit")
     parser.add_argument("--seed", type=int, default=7_001,
                         help="base random seed")
     parser.add_argument("--workers", type=int, default=1,
@@ -321,17 +322,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {figure_id}: {doc}")
         return 0
     if args.list_protocols:
-        from ..hybrid.protocols import get_protocol, protocol_names
+        from ..hybrid.system import site_classes
 
-        for name in protocol_names():
-            doc = (get_protocol(name).__doc__ or "").strip().splitlines()
+        for name in PROTOCOLS:
+            doc = (site_classes(name)[0].__doc__ or "").strip().splitlines()
             print(f"  {name}: {doc[0] if doc else ''}")
         return 0
-    from ..hybrid.protocols import protocol_names
-
-    if args.protocol not in protocol_names():
-        print(f"error: unknown --protocol {args.protocol!r}; registered "
-              f"protocols: {', '.join(protocol_names())}",
+    if args.protocol not in PROTOCOLS:
+        print(f"error: unknown --protocol {args.protocol!r}; known "
+              f"protocols: {', '.join(PROTOCOLS)}",
               file=sys.stderr)
         return 2
     if args.verify:

@@ -72,8 +72,8 @@ class RunSettings:
     scale: float = 1.0
     crn: bool = False
     #: Commit protocol every configuration built through
-    #: :meth:`config_for` runs under (a :mod:`repro.hybrid.protocols`
-    #: name).  Every experiment entry point -- figures, scorecard,
+    #: :meth:`config_for` runs under (a
+    #: :data:`~repro.hybrid.config.PROTOCOLS` name).  Every experiment entry point -- figures, scorecard,
     #: availability, sensitivity, validation -- builds its jobs with
     #: :func:`build_job`, so each one scores per protocol.
     protocol: str = "optimistic"

@@ -3,7 +3,7 @@
 from .base import SiteBase
 from .central import CentralSite
 from .checker import InvariantChecker, InvariantViolation, attach_checker
-from .config import PAPER_BASE, SystemConfig, paper_config
+from .config import PAPER_BASE, PROTOCOLS, SystemConfig, paper_config
 from .local import LocalSite
 from .metrics import MetricsCollector, SimulationResult
 from .protocol import (
@@ -16,8 +16,7 @@ from .protocol import (
     UpdateAck,
     UpdatePropagation,
 )
-from .protocols import CommitProtocol, get_protocol, protocol_names
-from .system import HybridSystem, simulate
+from .system import HybridSystem, simulate, site_classes
 from .telemetry import TelemetrySampler, TelemetrySeries, TelemetryWindow
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
     "InvariantViolation",
     "attach_checker",
     "PAPER_BASE",
+    "PROTOCOLS",
     "SystemConfig",
     "paper_config",
     "LocalSite",
@@ -40,11 +40,9 @@ __all__ = [
     "TxnShipment",
     "UpdateAck",
     "UpdatePropagation",
-    "CommitProtocol",
-    "get_protocol",
-    "protocol_names",
     "HybridSystem",
     "simulate",
+    "site_classes",
     "TelemetrySampler",
     "TelemetrySeries",
     "TelemetryWindow",

@@ -15,6 +15,21 @@ The central site
 
 Every message it sends to a site piggybacks a :class:`CentralSnapshot`,
 the mechanism by which (delayed) central state reaches the routers.
+
+**Hot standby.**  When the fault plan's recovery policy enables
+failover, a second instance of the protocol's central class runs in the
+standby role (``is_active`` false until takeover).  The primary ships
+its applied update stream as :class:`LogRecord` frames over a reliable
+log channel and sends :class:`Heartbeat` beacons *unreliably* on the
+same link pair -- silence, not a nack, signals death.  The standby
+replays the log into its replica (deduplicated by ``(site, seq)``, so
+direct re-sends after a failover compose with it).  When the heartbeat
+lease expires it takes over: it pays a takeover CPU burst, broadcasts
+:class:`FailoverNotice` to every site over its own site links, and
+sends a reliable :class:`TakeoverNotice` that deposes the primary once
+the partition heals.  Sites then re-point their routing and settle
+everything in flight conservatively (abort and retry).  Failover is
+sticky: the primary never reclaims the role within a run.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from .protocol import (
     CancelAck,
     CentralSnapshot,
     CommitOrder,
+    FailoverNotice,
     Heartbeat,
     LogRecord,
     RejoinRequest,
@@ -88,13 +104,15 @@ class _PendingAuth:
 
 
 class CentralSite(SiteBase):
-    """The central computing complex of the hybrid architecture."""
+    """The central computing complex of the hybrid architecture (the
+    primary, or with ``standby=True`` its hot standby)."""
 
     invalidated_cause = "central-invalidated"
 
     def __init__(self, env: Environment, config: "SystemConfig",
                  system: "HybridSystem", partition: LockSpacePartition,
-                 name: str = "central"):
+                 standby: bool = False):
+        name = "standby" if standby else "central"
         super().__init__(env, config, config.central_mips, name=name)
         self.system = system
         self.partition = partition
@@ -119,10 +137,17 @@ class CentralSite(SiteBase):
         # Recovery subsystem (populated only when the plan's
         # RecoveryPolicy enables it; None otherwise, costing nothing).
         self.recovery: "RecoveryPolicy | None" = None
-        #: Reliable sender of the primary->standby log stream (primary
-        #: only; the standby's mirror lives on StandbyCentral).
+        #: This end of the primary<->standby log channel, the link it
+        #: receives on, and both directions of the pair (severed
+        #: together by a central outage).
         self.log_endpoint: ReliableEndpoint | None = None
         self.log_in: Link | None = None
+        self.log_links: tuple[Link, ...] = ()
+        self.is_standby = standby
+        #: True while this site holds the central role: the primary from
+        #: the start, the standby once it has taken over.
+        self.is_active = not standby
+        self.last_heartbeat = 0.0
         #: True once a TakeoverNotice arrived: this central lost the
         #: master role and must neither execute nor transmit.
         self.deposed = False
@@ -150,27 +175,39 @@ class CentralSite(SiteBase):
         self.recovery = recovery
         self._applied_batches = {}
 
-    def start_log_shipping(self, endpoint: ReliableEndpoint,
-                           in_link: Link) -> None:
-        """Primary side of the hot-standby pairing.
+    def start_log(self, endpoint: ReliableEndpoint, in_link: Link) -> None:
+        """Wire this end of the primary<->standby log link pair.
 
-        ``endpoint`` sends log records (reliable) and heartbeats
-        (unreliable, raw link) to the standby; ``in_link`` carries the
-        standby's acks and, eventually, its TakeoverNotice.
+        The primary sends log records (reliable) and heartbeats
+        (unreliable, raw link) through ``endpoint`` and hears the
+        standby's acks and, eventually, its TakeoverNotice on
+        ``in_link``; the standby replays what arrives on ``in_link`` and
+        arms its heartbeat lease.
         """
         self.log_endpoint = endpoint
         self.log_in = in_link
+        self.log_links = (in_link, endpoint.out_link)
+        self.last_heartbeat = self.env.now
         self.env.process(self._log_dispatch(),
                          name=f"{self.name}:log-dispatch")
-        self.env.process(self._heartbeat_loop(),
-                         name=f"{self.name}:heartbeat")
+        if self.is_standby:
+            self.env.process(self._lease_monitor(),
+                             name=f"{self.name}:lease-monitor")
+        else:
+            self.env.process(self._heartbeat_loop(),
+                             name=f"{self.name}:heartbeat")
 
     def _log_dispatch(self):
         while True:
             message = yield self.log_in.mailbox.get()
             for delivered in self.log_endpoint.pump(message):
-                if isinstance(delivered.payload, TakeoverNotice):
+                payload = delivered.payload
+                if isinstance(payload, TakeoverNotice):
                     self._on_deposed()
+                elif isinstance(payload, Heartbeat):
+                    self.last_heartbeat = self.env.now
+                elif isinstance(payload, LogRecord):
+                    yield from self._apply_log(payload)
 
     def _heartbeat_loop(self):
         interval = self.recovery.heartbeat_interval
@@ -184,7 +221,8 @@ class CentralSite(SiteBase):
 
     def _ship_log(self, kind: str, updates, site: int | None = None,
                   seq: int = 0) -> None:
-        if self.log_endpoint is None or self.deposed:
+        """Primary only: ship an applied update to the standby."""
+        if self.log_endpoint is None or self.deposed or self.is_standby:
             return
         self.log_endpoint.send(Message(
             kind="log", source=self.name,
@@ -222,6 +260,57 @@ class CentralSite(SiteBase):
         if self.log_endpoint is not None:
             self.log_endpoint.abandon()
         self._pending_auth.clear()
+
+    # -- the standby role -------------------------------------------------------
+
+    def _apply_log(self, record: LogRecord):
+        """Replay one shipped log record into the standby replica."""
+        if not self._mark_batch(record.site, record.seq):
+            return
+        instr = self.recovery.instr_log_replay if self.recovery else 0
+        if instr:
+            yield from self.cpu_burst(instr * max(1, len(record.updates)))
+        entities = tuple(entity for group in record.updates
+                         for entity in group)
+        if not entities:
+            return
+        self.data.apply_updates(entities)
+        if self.is_active:
+            # Post-takeover stragglers from the dying primary can still
+            # invalidate transactions that now hold locks here.
+            self._mark_holders(entities, "invalidated-by-update")
+
+    def _lease_monitor(self):
+        policy = self.recovery
+        while not self.is_active:
+            yield self.env.timeout(policy.heartbeat_interval)
+            if self.env.now - self.last_heartbeat > policy.lease_timeout:
+                yield from self._take_over()
+                return
+
+    def _take_over(self):
+        """Assume the central role (the lease expired).
+
+        The recovery clock starts at the last heartbeat actually heard
+        -- the latest instant the primary was provably alive, within
+        one heartbeat interval of the real failure -- and stops when the
+        failover notices are broadcast.
+        """
+        failed_at = self.last_heartbeat
+        yield from self.cpu_burst(self.recovery.instr_takeover)
+        self.is_active = True
+        snapshot = self.snapshot()
+        for site_id in range(len(self.to_sites)):
+            self._send(site_id, "failover",
+                       FailoverNotice(snapshot=snapshot))
+        # Depose the primary: reliable, so it lands once the partition
+        # heals, whereupon the primary kills its zombie work.
+        self.log_endpoint.send(Message(
+            kind="takeover", source=self.name,
+            payload=TakeoverNotice(time=self.env.now)))
+        self.metrics.record_takeover("takeover")
+        self.metrics.record_recovery("failover", None, failed_at,
+                                     self.env.now)
 
     def snapshot(self) -> CentralSnapshot:
         """Sample the observable central state (piggybacked on messages)."""
@@ -343,27 +432,32 @@ class CentralSite(SiteBase):
         yield from self.cpu_burst(self.config.instr_update_apply *
                                   len(propagation.updates))
         self.data.apply_updates(propagation.entities)
-        notified_remote: set[int] = set()
-        for entity in propagation.entities:
-            for holder_id in list(self.locks.held_modes(entity)):
-                victim = self.active.get(holder_id)
-                if victim is not None and not victim.marked_for_abort:
-                    victim.mark_for_abort("invalidated-by-update")
-                elif victim is None and holder_id in self._remote_holders \
-                        and holder_id not in notified_remote:
-                    # A distributed-mode transaction holds this entity
-                    # remotely: notify its home site to mark it.
-                    notified_remote.add(holder_id)
-                    self._send(self._remote_holders[holder_id],
-                               "remote-invalidate", RemoteInvalidate(
-                                   txn_id=holder_id,
-                                   snapshot=self.snapshot()))
+        self._mark_holders(propagation.entities, "invalidated-by-update")
         self._send(propagation.source_site, "update-ack",
                    UpdateAck(updates=propagation.updates,
                              snapshot=self.snapshot(),
                              seq=propagation.seq))
         self._ship_log("update", propagation.updates,
                        site=propagation.source_site, seq=propagation.seq)
+
+    def _mark_holders(self, entities, reason: str) -> None:
+        """Mark every holder of a lock here on one of ``entities`` for
+        abort: transactions running here directly, and remote-call
+        transactions through one :class:`RemoteInvalidate` each to
+        their home site."""
+        notified_remote: set[int] = set()
+        for entity in entities:
+            for holder_id in list(self.locks.held_modes(entity)):
+                victim = self.active.get(holder_id)
+                if victim is not None and not victim.marked_for_abort:
+                    victim.mark_for_abort(reason)
+                elif victim is None and holder_id in self._remote_holders \
+                        and holder_id not in notified_remote:
+                    notified_remote.add(holder_id)
+                    self._send(self._remote_holders[holder_id],
+                               "remote-invalidate", RemoteInvalidate(
+                                   txn_id=holder_id,
+                                   snapshot=self.snapshot()))
 
     # -- site rejoin (crash recovery catch-up) --------------------------------
 

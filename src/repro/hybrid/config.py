@@ -31,7 +31,12 @@ from typing import Any
 
 from ..db.workload import WorkloadParams
 
-__all__ = ["SystemConfig", "PAPER_BASE", "paper_config"]
+__all__ = ["SystemConfig", "PAPER_BASE", "PROTOCOLS", "paper_config"]
+
+#: The site<->central commit protocols, the paper's first.  Each is a
+#: (local site, central site) class pair that
+#: :func:`repro.hybrid.system.site_classes` picks.
+PROTOCOLS = ("optimistic", "2pc", "epoch")
 
 #: Instructions are expressed in raw counts; MIPS ratings convert them to
 #: seconds of CPU service (e.g. 30 K instructions on a 1 MIPS site = 30 ms).
@@ -79,11 +84,10 @@ class SystemConfig:
     class_b_mode: str = "central"
 
     # -- commit protocol -----------------------------------------------------
-    #: The site<->central commit protocol: a name registered in
-    #: :mod:`repro.hybrid.protocols` (``optimistic`` -- the paper's
-    #: asynchronous-update / optimistic-authentication interaction,
-    #: ``2pc`` -- primary-copy two-phase commit, ``epoch`` --
-    #: deterministic epoch-batched group commit).
+    #: The site<->central commit protocol, one of :data:`PROTOCOLS`
+    #: (``optimistic`` -- the paper's asynchronous-update / optimistic-
+    #: authentication interaction, ``2pc`` -- primary-copy two-phase
+    #: commit, ``epoch`` -- deterministic epoch-batched group commit).
     protocol: str = "optimistic"
     #: Epoch length in seconds for the epoch-batched protocol (update
     #: batches ship and central commits resolve once per epoch).
@@ -126,13 +130,10 @@ class SystemConfig:
             raise ValueError(
                 f"class_b_mode must be 'central' or 'remote-call', got "
                 f"{self.class_b_mode!r}")
-        # Imported at call time: the registry is dependency-free, but
-        # the implementation modules it lazily loads import this module.
-        from .protocols import protocol_names
-        if self.protocol not in protocol_names():
+        if self.protocol not in PROTOCOLS:
             raise ValueError(
-                f"unknown commit protocol {self.protocol!r}; registered "
-                f"protocols: {', '.join(protocol_names())}")
+                f"unknown commit protocol {self.protocol!r}; known "
+                f"protocols: {', '.join(PROTOCOLS)}")
         if self.epoch_interval <= 0:
             raise ValueError(
                 f"epoch_interval must be positive, got "

@@ -149,7 +149,11 @@ class CircuitBreaker:
 
 
 class LocalSite(SiteBase):
-    """One geographically distributed system of the hybrid architecture."""
+    """Local site with asynchronous updates and optimistic authentication.
+
+    One geographically distributed system of the hybrid architecture,
+    under the paper's protocol; the other protocols subclass it.
+    """
 
     invalidated_cause = "local-invalidated"
 
@@ -214,6 +218,9 @@ class LocalSite(SiteBase):
         self._admission_queue: list[Transaction] = []
         #: Shipment watchdogs, likewise interruptible on crash.
         self._watchdogs: dict[int, Process] = {}
+        #: Master authentication checks (``_handle_auth``) that may still
+        #: be running, likewise interruptible on crash.
+        self._auth_checks: list[Process] = []
         self.breaker: CircuitBreaker | None = None
         #: App frames discarded because they came from a deposed
         #: primary (or arrived at a crashed site).
@@ -730,8 +737,10 @@ class LocalSite(SiteBase):
         if isinstance(payload, AuthRequest):
             # Authentication checks consume local CPU; handle in a
             # child process so unrelated messages are not blocked.
-            self.env.process(self._handle_auth(payload),
-                             name=f"{self.name}:auth")
+            self._auth_checks = [check for check in self._auth_checks
+                                 if check.is_alive]
+            self._auth_checks.append(self.env.process(
+                self._handle_auth(payload), name=f"{self.name}:auth"))
         elif isinstance(payload, CommitOrder):
             self._handle_commit_order(payload)
         elif isinstance(payload, ReleaseOrder):
@@ -762,7 +771,10 @@ class LocalSite(SiteBase):
 
     def _handle_auth(self, request: AuthRequest):
         """Authentication phase at the master site (Section 2)."""
-        yield from self.cpu_burst(self.config.instr_auth_master)
+        try:
+            yield from self.cpu_burst(self.config.instr_auth_master)
+        except Interrupt:
+            return  # the site crashed mid-check: no grant, no reply
         entities = [entity for entity, _mode in request.references]
         aborted: list[int] = []
         expired = (request.deadline is not None and
@@ -895,9 +907,10 @@ class LocalSite(SiteBase):
         """
         self.crashed = True
         for process in [*self._processes.values(),
-                        *self._watchdogs.values()]:
+                        *self._watchdogs.values(), *self._auth_checks]:
             if process.is_alive:
                 process.interrupt("site-crash")
+        self._auth_checks = []
         for txn_id in sorted(self._pending_ship):
             txn = self._pending_ship.pop(txn_id)
             if txn.placement is Placement.SHIPPED:

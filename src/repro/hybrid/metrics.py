@@ -184,7 +184,7 @@ class SimulationResult:
     # -- commit-protocol extensions (defaulted for compatibility) ----------
 
     #: The commit protocol that produced this run (a name from
-    #: :mod:`repro.hybrid.protocols`).
+    #: :data:`repro.hybrid.config.PROTOCOLS`).
     protocol: str = "optimistic"
     #: Protocol-specific event counters (the ``protocol_events`` family:
     #: prepare rounds, epoch flushes, blocked-transaction resolutions,

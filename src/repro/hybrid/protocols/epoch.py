@@ -33,16 +33,12 @@ from __future__ import annotations
 from ..central import CentralSite
 from ..local import LocalSite
 from ..protocol import EpochCommitOrder, TxnResponse, UpdatePropagation
-from ..standby import StandbyCentral
 from ...db.locks import LockMode
 from ...db.transaction import Placement, Transaction
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH, PHASE_COMM
-from . import register
-from .base import CommitProtocol
 
-__all__ = ["EpochProtocol", "EpochLocalSite", "EpochCentralSite",
-           "EpochStandby"]
+__all__ = ["EpochLocalSite", "EpochCentralSite"]
 
 
 class EpochLocalSite(LocalSite):
@@ -140,8 +136,15 @@ class EpochLocalSite(LocalSite):
         self._update_buffer.clear()
 
 
-class EpochCentralMixin:
-    """Epoch buffering and the deterministic boundary resolution."""
+class EpochCentralSite(CentralSite):
+    """The epoch sequencer: epoch buffering and the deterministic
+    boundary resolution.
+
+    Its hot standby only replays the shipped log before takeover (its
+    epoch ticker idles); afterwards re-sent in-flight batches land in its
+    epoch buffer, are deduplicated against the log by ``(site, seq)`` and
+    acknowledged -- completing the sites' parked group commits.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -154,19 +157,13 @@ class EpochCentralMixin:
         super().attach_links(to_sites=to_sites, from_sites=from_sites)
         self.env.process(self._epoch_ticker(), name=f"{self.name}:epoch")
 
-    def _epoch_should_tick(self) -> bool:
-        if self.deposed:
-            return False
-        is_active = getattr(self, "is_active", None)
-        return True if is_active is None else bool(is_active)
-
     def _epoch_ticker(self):
         interval = self.config.epoch_interval
         while True:
             yield self.env.timeout(interval)
             if self.deposed:
                 return
-            if not self._epoch_should_tick():
+            if not self.is_active:
                 continue  # a standby ticks only after takeover
             yield from self._close_epoch()
 
@@ -254,41 +251,3 @@ class EpochCentralMixin:
         self._epoch_updates.clear()
         self._epoch_commits.clear()
 
-
-class EpochCentralSite(EpochCentralMixin, CentralSite):
-    """The epoch sequencer."""
-
-
-class EpochStandby(EpochCentralMixin, StandbyCentral):
-    """Hot standby under the epoch protocol.
-
-    Before takeover it only replays the shipped log (its epoch ticker
-    idles); afterwards re-sent in-flight batches land in its epoch
-    buffer, are deduplicated against the log by ``(site, seq)`` and
-    acknowledged -- completing the sites' parked group commits.
-    """
-
-
-@register
-class EpochProtocol(CommitProtocol):
-    """Deterministic epoch-batched group commit."""
-
-    name = "epoch"
-
-    messages_per_local_commit = ("~2/epoch amortised: one batched "
-                                 "``UpdatePropagation`` + ``UpdateAck`` "
-                                 "per site per epoch")
-    blocking = ("non-blocking for conflicts (locks release at the local "
-                "commit point); responses wait for the epoch ack "
-                "(group-commit latency <= epoch + round trip)")
-    consistency = ("epoch-atomic: replicas agree at every applied epoch "
-                   "boundary; exact after drain")
-
-    def make_local(self, env, site_id, config, system, router):
-        return EpochLocalSite(env, site_id, config, system, router)
-
-    def make_central(self, env, config, system, partition):
-        return EpochCentralSite(env, config, system, partition)
-
-    def make_standby(self, env, config, system, partition):
-        return EpochStandby(env, config, system, partition)

@@ -36,14 +36,10 @@ from __future__ import annotations
 from ..central import CentralSite
 from ..local import LocalSite
 from ..protocol import AuthReply, TxnDecision, TxnPrepare, TxnVote
-from ..standby import StandbyCentral
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH
-from . import register
-from .base import CommitProtocol
 
-__all__ = ["TwoPhaseProtocol", "TwoPhaseLocalSite", "TwoPhaseCentralSite",
-           "TwoPhaseStandby"]
+__all__ = ["TwoPhaseLocalSite", "TwoPhaseCentralSite"]
 
 
 class TwoPhaseLocalSite(LocalSite):
@@ -108,7 +104,10 @@ class TwoPhaseLocalSite(LocalSite):
         if blocked:
             # An in-doubt holder cannot be evicted: its outcome is owned
             # by the coordinator's vote, not this authentication round.
-            yield from self.cpu_burst(self.config.instr_auth_master)
+            try:
+                yield from self.cpu_burst(self.config.instr_auth_master)
+            except Interrupt:
+                return  # the site crashed mid-check: no reply
             self.metrics.record_protocol_event("indoubt-refusal")
             self._send_central("auth-reply", AuthReply(
                 auth_id=request.auth_id, txn_id=request.txn_id,
@@ -155,8 +154,10 @@ class TwoPhaseLocalSite(LocalSite):
         self._indoubt.clear()
 
 
-class TwoPhaseCentralMixin:
-    """Coordinator state shared by the primary and the hot standby."""
+class TwoPhaseCentralSite(CentralSite):
+    """The primary-copy coordinator.  Its hot standby takes over with an
+    empty in-doubt registry; blocked site transactions resolve via
+    refused votes and re-prepare there."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -221,36 +222,3 @@ class TwoPhaseCentralMixin:
         self._indoubt_sites.clear()
         self._indoubt_entities.clear()
 
-
-class TwoPhaseCentralSite(TwoPhaseCentralMixin, CentralSite):
-    """The primary-copy coordinator."""
-
-
-class TwoPhaseStandby(TwoPhaseCentralMixin, StandbyCentral):
-    """Hot standby under 2PC: takes over with an empty in-doubt
-    registry; blocked site transactions resolve via refused votes and
-    re-prepare here."""
-
-
-@register
-class TwoPhaseProtocol(CommitProtocol):
-    """Primary-copy two-phase commit."""
-
-    name = "2pc"
-
-    messages_per_local_commit = ("3 synchronous messages: ``TxnPrepare`` "
-                                 "+ ``TxnVote`` + ``TxnDecision``")
-    blocking = ("blocking: prepared transactions hold their locks until "
-                "the coordinator votes -- including across coordinator "
-                "failure (resolved only by failover)")
-    consistency = ("primary copy synchronous at decision time; exact "
-                   "after drain")
-
-    def make_local(self, env, site_id, config, system, router):
-        return TwoPhaseLocalSite(env, site_id, config, system, router)
-
-    def make_central(self, env, config, system, partition):
-        return TwoPhaseCentralSite(env, config, system, partition)
-
-    def make_standby(self, env, config, system, partition):
-        return TwoPhaseStandby(env, config, system, partition)

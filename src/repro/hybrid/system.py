@@ -28,15 +28,13 @@ from .central import CentralSite
 from .config import SystemConfig
 from .local import LocalSite
 from .metrics import MetricsCollector, SimulationResult
-from .protocols import get_protocol
-from .standby import StandbyCentral
 from .telemetry import TelemetrySampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.router import RouterFactory
     from ..obs.audit import RoutingAudit
 
-__all__ = ["HybridSystem", "simulate"]
+__all__ = ["HybridSystem", "simulate", "site_classes"]
 
 #: How often the population/queue-length time series are sampled.  The
 #: paper's strategies read these quantities at arrival instants; for the
@@ -47,6 +45,24 @@ SAMPLE_INTERVAL = 0.25
 #: Default telemetry window length (simulated seconds) and ring capacity.
 TELEMETRY_INTERVAL = 1.0
 TELEMETRY_CAPACITY = 512
+
+
+def site_classes(protocol: str) -> tuple[type[LocalSite], type[CentralSite]]:
+    """The (local site, central site) classes realising a commit protocol.
+
+    The ``2pc`` and ``epoch`` branches import their own module, so an
+    optimistic run never loads them.
+    """
+    if protocol == "optimistic":
+        return LocalSite, CentralSite
+    if protocol == "2pc":
+        from .protocols.twophase import TwoPhaseCentralSite, \
+            TwoPhaseLocalSite
+        return TwoPhaseLocalSite, TwoPhaseCentralSite
+    if protocol == "epoch":
+        from .protocols.epoch import EpochCentralSite, EpochLocalSite
+        return EpochLocalSite, EpochCentralSite
+    raise ValueError(f"unknown commit protocol {protocol!r}")
 
 
 class HybridSystem:
@@ -76,16 +92,15 @@ class HybridSystem:
         self.partition = LockSpacePartition(config.workload.lockspace,
                                             config.workload.n_sites)
 
-        # The commit protocol is a class selection: it supplies the
-        # local/central/standby implementations wired below (the default
-        # returns the stock classes unchanged).
-        self.protocol = get_protocol(config.protocol)
-        self.central = self.protocol.make_central(self.env, config, self,
-                                                  self.partition)
+        # The commit protocol is a class selection: the local and central
+        # site classes wired below (the hot standby, if any, is a second
+        # instance of the central class).
+        local_cls, central_cls = site_classes(config.protocol)
+        self.central = central_cls(self.env, config, self, self.partition)
         self.routers = [router_factory(config, site_id)
                         for site_id in range(config.n_sites)]
-        self.sites = [self.protocol.make_local(self.env, site_id, config,
-                                               self, self.routers[site_id])
+        self.sites = [local_cls(self.env, site_id, config, self,
+                                self.routers[site_id])
                       for site_id in range(config.n_sites)]
         self.strategy_name = self.routers[0].name if self.routers else "none"
         if audit is not None and not audit.strategy:
@@ -111,7 +126,7 @@ class HybridSystem:
         # plain one.
         self.fault_plan = fault_plan
         self.injector: FaultInjector | None = None
-        self.standby: StandbyCentral | None = None
+        self.standby: CentralSite | None = None
         if fault_plan is not None and not fault_plan.is_empty:
             retry = fault_plan.retry
 
@@ -141,8 +156,8 @@ class HybridSystem:
                 for site in self.sites:
                     site.enable_recovery(recovery)
             if recovery.failover:
-                self.standby = self.protocol.make_standby(
-                    self.env, config, self, self.partition)
+                self.standby = central_cls(
+                    self.env, config, self, self.partition, standby=True)
                 self.standby.enable_recovery(recovery)
                 standby_to_sites = []
                 standby_from_sites = []
@@ -172,9 +187,8 @@ class HybridSystem:
                     link.on_drop = self.metrics.record_drop
                 primary_log = endpoint(log_up, "chan:log-primary")
                 standby_log = endpoint(log_down, "chan:log-standby")
-                self.central.start_log_shipping(primary_log, log_down)
-                self.standby.start_standby(standby_log, log_up,
-                                           (log_up, log_down))
+                self.central.start_log(primary_log, log_down)
+                self.standby.start_log(standby_log, log_up)
             self.injector = FaultInjector(self, fault_plan)
 
         self.factory = TransactionFactory(config.workload, self.streams)
@@ -194,8 +208,6 @@ class HybridSystem:
         # Windowed run telemetry (ring-buffered; see telemetry module).
         self.telemetry = TelemetrySampler(self, telemetry_interval,
                                           telemetry_capacity)
-
-        self.protocol.on_wired(self)
 
     # -- observation helpers ------------------------------------------------
 

@@ -60,8 +60,8 @@ class Scenario:
     #: scenario shrinks the database so every abort cause actually fires
     #: inside the fingerprinted horizon.
     lockspace: int | None = None
-    #: Commit protocol under test (registry name).  The default keeps
-    #: the pre-existing scenarios on the optimistic path, fingerprinted
+    #: Commit protocol under test (a ``PROTOCOLS`` name).  The default
+    #: keeps the pre-existing scenarios on the optimistic path, fingerprinted
     #: byte-identically to before the protocol extraction.
     protocol: str = "optimistic"
     #: Canned fault plan (a :data:`~repro.sim.faults.NAMED_PLANS` name)
@@ -74,7 +74,7 @@ class Scenario:
 #: reference path; ``queue-length-hot`` runs hot enough that shipping,
 #: deadlock aborts and authentication NAKs all appear in the counters,
 #: so a protocol regression cannot hide in an exercised-but-unasserted
-#: path.  The four fault scenarios together fire every trace kind and
+#: path.  The five fault scenarios together fire every trace kind and
 #: every metrics-collector counter family.
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(name="baseline-none",
@@ -108,6 +108,12 @@ SCENARIOS: tuple[Scenario, ...] = (
              fault_plan="central-outage-failover",
              description="standby takeover under 2PC: re-pointing, "
                          "re-shipping, fencing and 2PC events pinned"),
+    Scenario(name="epoch-failover",
+             strategy="queue-length", total_rate=18.0, protocol="epoch",
+             fault_plan="central-outage-failover",
+             description="standby takeover under the epoch protocol: "
+                         "log replay, idle standby ticker and in-flight "
+                         "epoch batch re-sends pinned"),
     Scenario(name="site-crash",
              strategy="queue-length", total_rate=18.0,
              fault_plan="site-crash",

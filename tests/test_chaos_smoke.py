@@ -13,8 +13,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core import STRATEGIES
+from repro.db.locks import LockManager
 from repro.db.replica import replica_divergence
-from repro.hybrid import HybridSystem, paper_config
+from repro.hybrid import HybridSystem, LocalSite, paper_config
 from repro.hybrid.checker import attach_checker
 from repro.sim.faults import (
     RetryPolicy,
@@ -170,6 +171,39 @@ def test_drained_rejoin_leaves_nothing_behind(protocol):
         assert not site.active, (site.site_id, sorted(site.active))
         assert not site._pending_ship, site.site_id
         assert not site._unacked_updates, site.site_id
+
+
+def test_crashed_site_neither_grants_nor_replies_to_auth(monkeypatch):
+    """A master authentication check in flight when its site crashes
+    dies with the site: no force-grant into the fresh lock table and no
+    AuthReply from the dead site (seed 21 had one such check)."""
+    config = paper_config(total_rate=22.0, warmup_time=WARMUP,
+                          measure_time=MEASURE, seed=21)
+    plan = rejoin_crash_plan(warmup_time=WARMUP, measure_time=MEASURE,
+                             site=0, retry=RETRY)
+    system = HybridSystem(config, STRATEGIES["static-optimal"](config),
+                          fault_plan=plan)
+    site = system.sites[0]
+    while_crashed = []
+    send_central = LocalSite._send_central
+    force_grant = LockManager.force_grant
+
+    def send(self, kind, payload):
+        if self.crashed and kind == "auth-reply":
+            while_crashed.append(("auth-reply", payload.auth_id))
+        return send_central(self, kind, payload)
+
+    def grant(self, txn_id, entity, mode):
+        if self is site.locks and site.crashed:
+            while_crashed.append(("force-grant", txn_id))
+        return force_grant(self, txn_id, entity, mode)
+
+    monkeypatch.setattr(LocalSite, "_send_central", send)
+    monkeypatch.setattr(LockManager, "force_grant", grant)
+    system.env.run(until=WARMUP + MEASURE)
+    assert [record.kind for record in system.metrics.recoveries] == \
+        ["rejoin"]
+    assert while_crashed == []
 
 
 def test_breaker_flaps_and_recovers_under_link_degradation():

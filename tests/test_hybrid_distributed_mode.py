@@ -11,13 +11,18 @@ from dataclasses import replace
 import pytest
 
 from repro.core import STRATEGIES
+from repro.core.router import AlwaysLocalRouter
 from repro.db import (
+    LockMode,
     Placement,
+    Reference,
+    Transaction,
     TransactionClass,
     TransactionKind,
 )
 from repro.db.replica import replica_divergence
 from repro.hybrid import HybridSystem, paper_config
+from repro.hybrid.protocol import TxnDecision, TxnPrepare
 
 
 def build(total_rate=10.0, p_b_local=None, seed=41, **overrides):
@@ -140,3 +145,34 @@ def test_class_a_routing_unaffected_by_mode():
     result = system.run()
     assert TransactionKind.LOCAL_NEW in result.response_time_by_kind
     assert result.shipped_fraction == 0.0  # "none" router retains all A
+
+
+def test_2pc_decision_invalidates_remote_call_holders():
+    """Under 2PC, a site's commit decision that updates an entity a
+    remote-call transaction holds at central marks that transaction at
+    its home site (as the optimistic update application does): it must
+    not commit on the stale read."""
+    config = paper_config(total_rate=1e-6, warmup_time=0.0,
+                          measure_time=100.0, protocol="2pc",
+                          class_b_mode="remote-call")
+    system = HybridSystem(config, lambda c, i: AlwaysLocalRouter())
+    central = system.central
+    entity = system.partition.site_range(1)[0]
+    holder = Transaction(txn_id=90_001, txn_class=TransactionClass.B,
+                         home_site=3,
+                         references=(Reference(entity, LockMode.SHARE),),
+                         arrival_time=0.0)
+    system.sites[3].active[holder.txn_id] = holder
+    central.locks.acquire(holder.txn_id, entity, LockMode.SHARE)
+    central._remote_holders[holder.txn_id] = 3
+
+    def decide():
+        yield from central._handle_prepare(
+            TxnPrepare(txn_id=90_002, site=1, updates=(entity,)))
+        yield from central._handle_decision(TxnDecision(
+            txn_id=90_002, site=1, commit=True, updates=(entity,)))
+
+    system.env.process(decide())
+    system.env.run(until=5.0)
+    assert holder.marked_for_abort
+    assert holder.abort_reason == "remote-lock-invalidated"

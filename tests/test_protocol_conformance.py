@@ -1,18 +1,18 @@
 """Cross-protocol conformance: every commit protocol, same contract.
 
-Every protocol in the registry -- the extracted optimistic default,
-primary-copy 2PC and the epoch-batched variant -- must satisfy the
-same behavioural contract under the same workloads: exact replica
+Every protocol -- the paper's optimistic default, primary-copy 2PC and
+the epoch-batched variant -- must satisfy the same behavioural
+contract under the same workloads: exact replica
 convergence after a drain with the invariant checker attached, no
 transaction left behind, operational-law consistency of the measured
 numbers, and bit-identical determinism.  The suite is parametrized over
-:func:`repro.hybrid.protocol_names`, so registering a new protocol
-automatically subjects it to the full battery.
+:data:`repro.hybrid.PROTOCOLS`, so adding a new protocol automatically
+subjects it to the full battery.
 
 The pinned-digest tests at the bottom are the extraction's bit-identity
 gate: the committed golden fingerprints of the optimistic scenarios
 must still carry the exact trace digests recorded *before* the
-``CommitProtocol`` refactor.
+commit-protocol extraction.
 """
 
 import json
@@ -24,11 +24,9 @@ from repro.core import STRATEGIES
 from repro.core.router import AlwaysShipRouter
 from repro.db.replica import replica_divergence
 from repro.experiments.runner import RunSettings, run_single
-from repro.hybrid import HybridSystem, paper_config, protocol_names
+from repro.hybrid import PROTOCOLS, HybridSystem, paper_config
 from repro.hybrid.checker import InvariantViolation, attach_checker
 from repro.sim.faults import FaultPlan
-
-PROTOCOLS = protocol_names()
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -208,7 +206,7 @@ def test_protocols_take_distinct_sample_paths():
 @pytest.mark.parametrize("name", sorted(PRE_REFACTOR_DIGESTS))
 def test_committed_goldens_carry_pre_refactor_digests(name):
     """The committed optimistic golden files still pin the exact trace
-    digests recorded before the CommitProtocol extraction.  The golden
+    digests recorded before the commit-protocol extraction.  The golden
     checks (hybriddb-verify) prove the simulator reproduces the files;
     this test proves the files themselves were never refreshed away
     from the pre-refactor stream."""
@@ -222,8 +220,11 @@ def test_committed_goldens_carry_pre_refactor_digests(name):
 
 
 def test_per_protocol_goldens_exist_and_declare_their_protocol():
-    """Each non-default protocol has its own pinned fingerprint."""
-    for name, protocol in (("twophase-hot", "2pc"), ("epoch-hot", "epoch")):
+    """Each non-default protocol has its own pinned fingerprint, fault
+    free and under standby failover."""
+    for name, protocol in (("twophase-hot", "2pc"), ("epoch-hot", "epoch"),
+                           ("central-outage-failover", "2pc"),
+                           ("epoch-failover", "epoch")):
         stored = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
         assert stored["scenario"]["protocol"] == protocol
         assert stored["counts"]["completed"] > 0

@@ -1,9 +1,10 @@
-"""The commit-protocol registry, its config/CLI plumbing and cache keys.
+"""The commit-protocol lookup, its config/CLI plumbing and cache keys.
 
-Property-tested round trips (name -> protocol -> config -> name), clean
-rejection of unknown names at every entry point (registry, SystemConfig,
-CLI), third-party registration, and the guarantee that two protocols can
-never share an on-disk result-cache entry.
+Property-tested round trips (name -> config -> site classes), clean
+rejection of unknown names at every entry point (SystemConfig, the
+lookup, the CLI), the hot standby as an instance of the protocol's own
+central class, and the guarantee that two protocols can never share an
+on-disk result-cache entry.
 """
 
 import dataclasses
@@ -12,83 +13,56 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import STRATEGIES
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main as experiment_main
 from repro.experiments.runner import RunSettings
-from repro.hybrid import SystemConfig, get_protocol, paper_config, \
-    protocol_names
-from repro.hybrid.protocols import _REGISTRY, CommitProtocol, register
-from repro.hybrid.protocols.epoch import EpochProtocol
-from repro.hybrid.protocols.optimistic import OptimisticProtocol
-from repro.hybrid.protocols.twophase import TwoPhaseProtocol
+from repro.hybrid import PROTOCOLS, CentralSite, HybridSystem, LocalSite, \
+    SystemConfig, paper_config, site_classes
+from repro.sim.faults import failover_outage_plan
 
 BUILTINS = ("optimistic", "2pc", "epoch")
 
 
 # ---------------------------------------------------------------------------
-# Registry round trips
+# The lookup
 # ---------------------------------------------------------------------------
 
 
 def test_builtins_are_registered():
-    assert tuple(protocol_names())[:3] == BUILTINS
+    """Every protocol name maps to one (local, central) class pair."""
+    assert PROTOCOLS == BUILTINS
+    assert site_classes("optimistic") == (LocalSite, CentralSite)
+    for name in PROTOCOLS:
+        local_cls, central_cls = site_classes(name)
+        assert issubclass(local_cls, LocalSite)
+        assert issubclass(central_cls, CentralSite)
 
 
 @given(name=st.sampled_from(BUILTINS))
 @settings(max_examples=20, deadline=None)
 def test_name_protocol_config_round_trip(name):
-    """name -> class -> instance -> config -> name survives the loop."""
-    protocol = get_protocol(name)
-    assert protocol.name == name
+    """name -> config -> site classes survives the loop."""
     config = paper_config(protocol=name)
     assert config.protocol == name
     config.validate()  # still valid after the round trip
     rebuilt = dataclasses.replace(config)
-    assert get_protocol(rebuilt.protocol).name == name
+    assert site_classes(rebuilt.protocol) == site_classes(name)
 
 
-def test_get_protocol_returns_fresh_instances():
-    """Each lookup builds a new protocol object (no shared state)."""
-    assert get_protocol("2pc") is not get_protocol("2pc")
-    assert isinstance(get_protocol("optimistic"), OptimisticProtocol)
-    assert isinstance(get_protocol("2pc"), TwoPhaseProtocol)
-    assert isinstance(get_protocol("epoch"), EpochProtocol)
-
-
-def test_protocol_zoo_metadata_is_populated():
-    """The documented comparison axes exist on every implementation."""
-    for name in protocol_names():
-        protocol = get_protocol(name)
-        assert protocol.messages_per_local_commit
-        assert protocol.blocking
-        assert protocol.consistency
-
-
-def test_third_party_registration():
-    """The documented extension path: subclass, @register, use by name."""
-
-    class NullProtocol(OptimisticProtocol):
-        name = "test-null"
-
-    try:
-        register(NullProtocol)
-        assert "test-null" in protocol_names()
-        assert isinstance(get_protocol("test-null"), NullProtocol)
-        config = paper_config(protocol="test-null")  # validates
-        assert config.protocol == "test-null"
-    finally:
-        _REGISTRY.pop("test-null", None)
-    assert "test-null" not in protocol_names()
-
-
-def test_base_protocol_is_abstract():
-    protocol = CommitProtocol()
-    with pytest.raises(NotImplementedError):
-        protocol.make_local(None, 0, None, None, None)
-    with pytest.raises(NotImplementedError):
-        protocol.make_central(None, None, None, None)
-    with pytest.raises(NotImplementedError):
-        protocol.make_standby(None, None, None, None)
+@pytest.mark.parametrize("protocol", BUILTINS)
+def test_standby_is_the_protocols_central_class(protocol):
+    """Under a failover plan the hot standby is a second instance of the
+    protocol's own central class, inactive until it takes over."""
+    config = paper_config(total_rate=10.0, warmup_time=5.0,
+                          measure_time=20.0, protocol=protocol)
+    plan = failover_outage_plan(warmup_time=5.0, measure_time=20.0)
+    system = HybridSystem(config, STRATEGIES["queue-length"](config),
+                          fault_plan=plan)
+    assert type(system.standby) is type(system.central)
+    assert type(system.central) is site_classes(protocol)[1]
+    assert system.central.is_active
+    assert not system.standby.is_active
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +71,11 @@ def test_base_protocol_is_abstract():
 
 
 @given(name=st.text(min_size=1, max_size=20).filter(
-    lambda s: s not in set(protocol_names())))
+    lambda s: s not in BUILTINS))
 @settings(max_examples=30, deadline=None)
 def test_unknown_protocol_raises_value_error(name):
     with pytest.raises(ValueError, match="unknown commit protocol"):
-        get_protocol(name)
+        site_classes(name)
     with pytest.raises(ValueError, match="unknown commit protocol"):
         paper_config(protocol=name)
 
@@ -128,10 +102,12 @@ def test_cli_rejects_unknown_protocol(capsys):
 
 
 def test_cli_lists_protocols(capsys):
+    """Each protocol is listed with its local site class's summary."""
     assert experiment_main(["--list-protocols"]) == 0
     out = capsys.readouterr().out
     for name in BUILTINS:
-        assert name in out
+        summary = site_classes(name)[0].__doc__.strip().splitlines()[0]
+        assert f"  {name}: {summary}" in out
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +129,10 @@ def test_cache_keys_never_collide_across_protocols():
     result can never be served from the optimistic cache (or vice
     versa)."""
     keys = set()
-    for name in protocol_names():
+    for name in PROTOCOLS:
         config = paper_config(total_rate=20.0, protocol=name)
         keys.add(ResultCache.key_for(config, "queue-length"))
-    assert len(keys) == len(protocol_names())
+    assert len(keys) == len(PROTOCOLS)
 
 
 def test_epoch_interval_is_cache_significant():

@@ -30,7 +30,9 @@ def scenario(name):
 def test_scenarios_have_unique_names_and_checks():
     names = [s.name for s in SCENARIOS]
     assert len(names) == len(set(names))
-    assert len(SCENARIOS) >= 2
+    # Four fault-free runs and five fault-plan runs (failover under
+    # both 2pc and epoch).
+    assert len(SCENARIOS) == 9
     assert set(GOLDEN_SCENARIOS) == {f"golden-{name}" for name in names}
 
 
