@@ -49,12 +49,6 @@ class RoutingObservation:
     # Delayed central-site state.
     central: CentralSnapshot
 
-    #: Whether the site->central path looked usable at decision time:
-    #: False while the site suspects the central complex (unanswered
-    #: retries) or while its circuit breaker refuses the path.  Always
-    #: True without a fault plan, so fault-free routing is unchanged.
-    central_reachable: bool = True
-
     @property
     def central_state_age(self) -> float:
         """Seconds since the central snapshot was taken (inf if never)."""

@@ -38,12 +38,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SiteBase"]
 
 
+class Handlers(dict):
+    """A site's message table: payload type -> handler method name."""
+
+    def __missing__(self, payload_type: type):
+        raise TypeError(f"unexpected payload {payload_type.__name__}")
+
+
 class SiteBase:
     """Common CPU / lock-table behaviour of local and central sites."""
 
     #: Abort cause recorded when the commit check finds the abort mark.
     invalidated_cause = ""
     metrics: "MetricsCollector"
+    #: Inbound payload type -> handler method name; a protocol subclass
+    #: merges its own rows in.  A site's ``FAULT_HANDLERS``, the rows for
+    #: payloads only a fault plan produces, join in ``enable_reliability``.
+    HANDLERS: dict[type, str] = {}
 
     def __init__(self, env: Environment, config: "SystemConfig",
                  mips: float, name: str):
@@ -61,6 +72,7 @@ class SiteBase:
         self.active: dict[int, Transaction] = {}
         #: Their processes, so a crash or a cancel can interrupt them.
         self._processes: dict[int, Process] = {}
+        self.handlers = Handlers(self.HANDLERS)
 
     def service_time(self, instructions: float) -> float:
         """Deterministic CPU time for an instruction pathlength."""

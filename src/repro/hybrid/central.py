@@ -45,7 +45,7 @@ from ..db.workload import LockSpacePartition
 from ..sim.engine import Environment, Event, Interrupt
 from ..sim.network import Link, Message, ReliableEndpoint
 from ..sim.spans import PHASE_AUTH, PHASE_COMM
-from .base import SiteBase
+from .base import Handlers, SiteBase
 from .protocol import (
     AuthReply,
     AuthRequest,
@@ -109,6 +109,26 @@ class CentralSite(SiteBase):
 
     invalidated_cause = "central-invalidated"
 
+    #: Site -> central payloads (see :meth:`_dispatch`).
+    HANDLERS = {
+        TxnShipment: "_on_shipment",
+        UpdatePropagation: "_apply_updates",
+        AuthReply: "_collect_auth_reply",
+        RemoteLockRequest: "_on_remote_lock",
+        RemoteCommit: "_handle_remote_commit",
+        RemoteRelease: "_handle_remote_release",
+    }
+    FAULT_HANDLERS = {
+        ShipmentCancel: "_handle_cancel",
+        RejoinRequest: "_on_rejoin_request",
+    }
+    #: The primary <-> standby log stream (wired only for failover).
+    LOG_HANDLERS = {
+        TakeoverNotice: "_on_deposed",
+        Heartbeat: "_on_heartbeat",
+        LogRecord: "_apply_log",
+    }
+
     def __init__(self, env: Environment, config: "SystemConfig",
                  system: "HybridSystem", partition: LockSpacePartition,
                  standby: bool = False):
@@ -169,6 +189,7 @@ class CentralSite(SiteBase):
                            channel: ReliableEndpoint) -> None:
         """Route central->site traffic through a reliable channel."""
         self.channels[site_id] = channel
+        self.handlers.update(self.FAULT_HANDLERS)
 
     def enable_recovery(self, recovery: "RecoveryPolicy") -> None:
         """Arm the recovery subsystem (batch dedup, admission bound)."""
@@ -198,16 +219,17 @@ class CentralSite(SiteBase):
                              name=f"{self.name}:heartbeat")
 
     def _log_dispatch(self):
+        handlers = Handlers(self.LOG_HANDLERS)
         while True:
             message = yield self.log_in.mailbox.get()
             for delivered in self.log_endpoint.pump(message):
                 payload = delivered.payload
-                if isinstance(payload, TakeoverNotice):
-                    self._on_deposed()
-                elif isinstance(payload, Heartbeat):
-                    self.last_heartbeat = self.env.now
-                elif isinstance(payload, LogRecord):
-                    yield from self._apply_log(payload)
+                work = getattr(self, handlers[type(payload)])(payload)
+                if work is not None:
+                    yield from work
+
+    def _on_heartbeat(self, beat: Heartbeat) -> None:
+        self.last_heartbeat = self.env.now
 
     def _heartbeat_loop(self):
         interval = self.recovery.heartbeat_interval
@@ -215,19 +237,18 @@ class CentralSite(SiteBase):
             # Raw link send, outside the reliable channel: heartbeats
             # must not be retransmitted -- silence is the signal.
             self.log_endpoint.out_link.send(Message(
-                kind="heartbeat", source=self.name,
+                kind=Heartbeat.kind, source=self.name,
                 payload=Heartbeat(time=self.env.now)))
             yield self.env.timeout(interval)
 
-    def _ship_log(self, kind: str, updates, site: int | None = None,
+    def _ship_log(self, updates, site: int | None = None,
                   seq: int = 0) -> None:
         """Primary only: ship an applied update to the standby."""
         if self.log_endpoint is None or self.deposed or self.is_standby:
             return
         self.log_endpoint.send(Message(
-            kind="log", source=self.name,
-            payload=LogRecord(kind=kind, updates=updates, site=site,
-                              seq=seq)))
+            kind=LogRecord.kind, source=self.name,
+            payload=LogRecord(updates=updates, site=site, seq=seq)))
 
     def _mark_batch(self, site: int | None, seq: int) -> bool:
         """Record an update batch as applied; False when already seen."""
@@ -239,7 +260,7 @@ class CentralSite(SiteBase):
         seen.add(seq)
         return True
 
-    def _on_deposed(self) -> None:
+    def _on_deposed(self, notice: TakeoverNotice) -> None:
         """The standby took over: stop executing and transmitting.
 
         In-flight transactions are killed (their home sites already
@@ -301,12 +322,11 @@ class CentralSite(SiteBase):
         self.is_active = True
         snapshot = self.snapshot()
         for site_id in range(len(self.to_sites)):
-            self._send(site_id, "failover",
-                       FailoverNotice(snapshot=snapshot))
+            self._send(site_id, FailoverNotice(snapshot=snapshot))
         # Depose the primary: reliable, so it lands once the partition
         # heals, whereupon the primary kills its zombie work.
         self.log_endpoint.send(Message(
-            kind="takeover", source=self.name,
+            kind=TakeoverNotice.kind, source=self.name,
             payload=TakeoverNotice(time=self.env.now)))
         self.metrics.record_takeover("takeover")
         self.metrics.record_recovery("failover", None, failed_at,
@@ -321,7 +341,8 @@ class CentralSite(SiteBase):
             locks_held=self.locks.total_locks_held(),
         )
 
-    def _send(self, site: int, kind: str, payload) -> Message:
+    def _send(self, site: int, payload) -> Message:
+        kind = payload.kind
         self.metrics.record_message(to_central=False, kind=kind, site=site)
         message = Message(kind=kind, source="central", payload=payload)
         channel = self.channels.get(site)
@@ -336,42 +357,30 @@ class CentralSite(SiteBase):
     def _dispatch(self, site_id: int, link: Link):
         """Per-site inbound loop.
 
-        Update batches are applied *inline* (one at a time) so that the
-        protocol's per-site FIFO processing requirement holds even though
-        applying a batch consumes CPU.
+        A handler that consumes CPU returns a generator, which runs
+        *inline* (one message at a time) so that the protocol's per-site
+        FIFO processing requirement holds.
         """
         while True:
             message = yield link.mailbox.get()
             channel = self.channels.get(site_id)
-            if channel is not None:
-                for delivered in channel.pump(message):
-                    yield from self._handle_site_message(site_id,
-                                                         delivered)
-            else:
-                yield from self._handle_site_message(site_id, message)
+            for delivered in (channel.pump(message) if channel is not None
+                              else (message,)):
+                payload = delivered.payload
+                work = getattr(self, self.handlers[type(payload)])(payload)
+                if work is not None:
+                    yield from work
 
-    def _handle_site_message(self, site_id: int, message: Message):
-        payload = message.payload
-        if isinstance(payload, TxnShipment):
-            self.admit(payload.txn)
-        elif isinstance(payload, UpdatePropagation):
-            yield from self._apply_updates(payload)
-        elif isinstance(payload, AuthReply):
-            self._collect_auth_reply(payload)
-        elif isinstance(payload, ShipmentCancel):
-            self._handle_cancel(payload)
-        elif isinstance(payload, RemoteLockRequest):
-            self.env.process(self._handle_remote_lock(payload),
-                             name=f"central:remote-lock-{site_id}")
-        elif isinstance(payload, RemoteCommit):
-            self._handle_remote_commit(payload)
-        elif isinstance(payload, RemoteRelease):
-            self._handle_remote_release(payload)
-        elif isinstance(payload, RejoinRequest):
-            self.env.process(self._handle_rejoin(payload),
-                             name=f"{self.name}:rejoin-{payload.site}")
-        else:
-            raise TypeError(f"unexpected payload {payload!r}")
+    def _on_shipment(self, shipment: TxnShipment) -> None:
+        self.admit(shipment.txn)
+
+    def _on_remote_lock(self, request: RemoteLockRequest) -> None:
+        self.env.process(self._handle_remote_lock(request),
+                         name=f"central:remote-lock-{request.site}")
+
+    def _on_rejoin_request(self, request: RejoinRequest) -> None:
+        self.env.process(self._handle_rejoin(request),
+                         name=f"{self.name}:rejoin-{request.site}")
 
     def admit(self, txn: Transaction) -> None:
         """Start executing a shipped class A or class B transaction."""
@@ -382,7 +391,7 @@ class CentralSite(SiteBase):
             # the home site acts on immediately) beats accepting work
             # that will only time out after clogging the queue further.
             self.metrics.record_shed(txn, node=self.name)
-            self._send(txn.home_site, "ship-reject", ShipmentReject(
+            self._send(txn.home_site, ShipmentReject(
                 txn_id=txn.txn_id, snapshot=self.snapshot()))
             return
         self._processes[txn.txn_id] = self.env.process(
@@ -406,9 +415,8 @@ class CentralSite(SiteBase):
             process = self._processes.pop(txn_id, None)
             if process is not None and process.is_alive:
                 process.interrupt("shipment-cancelled")
-        self._send(cancel.site, "cancel-ack",
-                   CancelAck(txn_id=txn_id, outcome=outcome,
-                             snapshot=self.snapshot()))
+        self._send(cancel.site, CancelAck(txn_id=txn_id, outcome=outcome,
+                                          snapshot=self.snapshot()))
 
     def _apply_updates(self, propagation: UpdatePropagation):
         """Apply an asynchronous update batch (Section 2).
@@ -424,7 +432,7 @@ class CentralSite(SiteBase):
         re-applied.
         """
         if not self._mark_batch(propagation.source_site, propagation.seq):
-            self._send(propagation.source_site, "update-ack",
+            self._send(propagation.source_site,
                        UpdateAck(updates=propagation.updates,
                                  snapshot=self.snapshot(),
                                  seq=propagation.seq))
@@ -433,11 +441,11 @@ class CentralSite(SiteBase):
                                   len(propagation.updates))
         self.data.apply_updates(propagation.entities)
         self._mark_holders(propagation.entities, "invalidated-by-update")
-        self._send(propagation.source_site, "update-ack",
+        self._send(propagation.source_site,
                    UpdateAck(updates=propagation.updates,
                              snapshot=self.snapshot(),
                              seq=propagation.seq))
-        self._ship_log("update", propagation.updates,
+        self._ship_log(propagation.updates,
                        site=propagation.source_site, seq=propagation.seq)
 
     def _mark_holders(self, entities, reason: str) -> None:
@@ -455,7 +463,7 @@ class CentralSite(SiteBase):
                         and holder_id not in notified_remote:
                     notified_remote.add(holder_id)
                     self._send(self._remote_holders[holder_id],
-                               "remote-invalidate", RemoteInvalidate(
+                               RemoteInvalidate(
                                    txn_id=holder_id,
                                    snapshot=self.snapshot()))
 
@@ -484,8 +492,7 @@ class CentralSite(SiteBase):
             sent = pending.requests.get(site)
             if sent is not None and sent.rel_inc != incarnation and \
                     all(reply.site != site for reply in pending.replies):
-                pending.requests[site] = self._send(site, "auth-request",
-                                                    sent.payload)
+                pending.requests[site] = self._send(site, sent.payload)
         # Remote locks held by distributed transactions of the dead site
         # would otherwise block other sites' work forever.
         for txn_id, home in list(self._remote_holders.items()):
@@ -496,7 +503,7 @@ class CentralSite(SiteBase):
         counts = {entity: count
                   for entity, count in self.data.snapshot().items()
                   if low <= entity < high}
-        self._send(site, "rejoin-snapshot", RejoinSnapshot(
+        self._send(site, RejoinSnapshot(
             site=site, counts=counts, snapshot=self.snapshot()))
 
     # -- remote-call data server (fully distributed class B mode) ------------
@@ -514,7 +521,7 @@ class CentralSite(SiteBase):
             granted = False
         if granted:
             self._remote_holders[request.txn_id] = request.site
-        self._send(request.site, "remote-reply", RemoteLockReply(
+        self._send(request.site, RemoteLockReply(
             call_id=request.call_id, txn_id=request.txn_id,
             granted=granted, snapshot=self.snapshot()))
 
@@ -532,7 +539,7 @@ class CentralSite(SiteBase):
             if owner is not None:
                 by_owner.setdefault(owner, []).append(entity)
         for owner, entities in by_owner.items():
-            self._send(owner, "commit", CommitOrder(
+            self._send(owner, CommitOrder(
                 txn_id=commit.txn_id, snapshot=self.snapshot(),
                 updates=tuple(entities)))
 
@@ -558,7 +565,7 @@ class CentralSite(SiteBase):
                 # grant.
                 for late in pending.replies:
                     if late.granted:
-                        self._send(late.site, "release", ReleaseOrder(
+                        self._send(late.site, ReleaseOrder(
                             txn_id=pending.txn_id,
                             snapshot=self.snapshot()))
                 return
@@ -624,8 +631,7 @@ class CentralSite(SiteBase):
                     auth_id=auth_id, txn_id=txn.txn_id,
                     references=tuple(references),
                     snapshot=self.snapshot(), deadline=txn.deadline)
-                pending.requests[site] = self._send(site, "auth-request",
-                                                    request)
+                pending.requests[site] = self._send(site, request)
             # Both message legs plus the master-site checks count as the
             # authentication phase of this transaction's timeline.
             txn.spans.enter(PHASE_AUTH, self.env.now)
@@ -675,13 +681,17 @@ class CentralSite(SiteBase):
         # distribute per-master commit orders carrying the update lists.
         self.data.apply_updates(txn.update_entities)
         if txn.update_entities:
-            self._ship_log("commit", (tuple(txn.update_entities),))
+            self._ship_log((tuple(txn.update_entities),))
         for site, references in masters.items():
             site_updates = tuple(entity for entity, mode in references
                                  if mode is LockMode.EXCLUSIVE)
-            self._send(site, "commit", CommitOrder(
+            self._send(site, CommitOrder(
                 txn_id=txn.txn_id, snapshot=self.snapshot(),
                 updates=site_updates))
+        return (yield from self._respond(txn))
+
+    def _respond(self, txn: Transaction):
+        """Release a committed transaction and deliver its response."""
         self._release(txn)
         # The transaction no longer occupies the central site; the output
         # message travels back to the user's region.
@@ -694,11 +704,11 @@ class CentralSite(SiteBase):
             self._finished.add(txn.txn_id)
             self._processes.pop(txn.txn_id, None)
             txn.spans.enter(PHASE_COMM, self.env.now)
-            self._send(txn.home_site, "txn-response",
+            self._send(txn.home_site,
                        TxnResponse(txn=txn, snapshot=self.snapshot()))
             return True
         txn.spans.enter(PHASE_COMM, self.env.now)
-        yield self.env.timeout(config.comm_delay)
+        yield self.env.timeout(self.config.comm_delay)
         txn.complete(self.env.now)
         self.metrics.record_completion(txn)
         if txn.placement is Placement.SHIPPED:
@@ -708,5 +718,5 @@ class CentralSite(SiteBase):
     def _release_masters(self, txn: Transaction,
                          masters: dict[int, list]) -> None:
         for site in masters:
-            self._send(site, "release", ReleaseOrder(
+            self._send(site, ReleaseOrder(
                 txn_id=txn.txn_id, snapshot=self.snapshot()))

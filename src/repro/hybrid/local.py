@@ -157,6 +157,22 @@ class LocalSite(SiteBase):
 
     invalidated_cause = "local-invalidated"
 
+    HANDLERS = {
+        AuthRequest: "_on_auth_request",
+        CommitOrder: "_handle_commit_order",
+        ReleaseOrder: "_handle_release_order",
+        UpdateAck: "_handle_update_ack",
+        TxnResponse: "_complete_shipped",
+        RemoteLockReply: "_on_remote_reply",
+        RemoteInvalidate: "_on_remote_invalidate",
+    }
+    FAULT_HANDLERS = {
+        CancelAck: "_on_cancel_ack",
+        ShipmentReject: "_handle_ship_reject",
+        RejoinSnapshot: "_on_rejoin_snapshot",
+        FailoverNotice: "_on_failover",
+    }
+
     def __init__(self, env: Environment, site_id: int,
                  config: "SystemConfig", system: "HybridSystem",
                  router: "Router"):
@@ -239,6 +255,7 @@ class LocalSite(SiteBase):
         """Route site->central traffic through a reliable channel."""
         self.channel = channel
         self.retry = retry
+        self.handlers.update(self.FAULT_HANDLERS)
 
     def enable_recovery(self, recovery: "RecoveryPolicy") -> None:
         """Arm the survivability protocols this site participates in."""
@@ -375,15 +392,15 @@ class LocalSite(SiteBase):
             local_locks_held=self.locks.total_locks_held(),
             shipped_in_flight=self.shipped_in_flight,
             central=central,
-            central_reachable=self._fallback_reason() is None,
         )
 
-    def _send_central(self, kind: str, payload) -> None:
+    def _send_central(self, payload) -> None:
         """Send one site->central message (reliably under a fault plan).
 
         After a failover the message goes to the standby -- which *is*
         the central complex now -- over the pre-wired standby channel.
         """
+        kind = payload.kind
         self.metrics.record_message(to_central=True, kind=kind,
                                     site=self.site_id)
         message = Message(kind=kind, source=self.site_id, payload=payload)
@@ -396,7 +413,7 @@ class LocalSite(SiteBase):
 
     def _ship(self, txn: Transaction) -> None:
         txn.spans.enter(PHASE_COMM, self.env.now)
-        self._send_central("txn", TxnShipment(txn))
+        self._send_central(TxnShipment(txn))
         if self.channel is not None:
             self._pending_ship[txn.txn_id] = txn
             self._watchdogs[txn.txn_id] = self.env.process(
@@ -482,8 +499,7 @@ class LocalSite(SiteBase):
         """ShipmentCancel round trip; returns central's verdict."""
         done = Event(self.env)
         self._pending_cancels[txn.txn_id] = done
-        self._send_central("cancel",
-                           ShipmentCancel(txn_id=txn.txn_id,
+        self._send_central(ShipmentCancel(txn_id=txn.txn_id,
                                           site=self.site_id))
         ack: CancelAck = yield done
         return ack.outcome
@@ -590,8 +606,7 @@ class LocalSite(SiteBase):
         self._update_seq += 1
         seq = self._update_seq
         self._unacked_updates[seq] = batch
-        self._send_central("update",
-                           UpdatePropagation(self.site_id, batch, seq=seq))
+        self._send_central(UpdatePropagation(self.site_id, batch, seq=seq))
         return seq
 
     # -- fully distributed class B execution (remote-call mode) -----------------
@@ -635,7 +650,7 @@ class LocalSite(SiteBase):
     def _abort_deadlock(self, txn: Transaction) -> None:
         super()._abort_deadlock(txn)
         if self._remote_locked.pop(txn.txn_id, None):
-            self._send_central("remote-release", RemoteRelease(
+            self._send_central(RemoteRelease(
                 txn_id=txn.txn_id, site=self.site_id))
 
     def _remote_call(self, txn: Transaction, reference: Reference):
@@ -644,7 +659,7 @@ class LocalSite(SiteBase):
         call_id = self._remote_call_ids
         done = Event(self.env)
         self._pending_remote_calls[call_id] = done
-        self._send_central("remote-lock", RemoteLockRequest(
+        self._send_central(RemoteLockRequest(
             call_id=call_id, txn_id=txn.txn_id, site=self.site_id,
             entity=reference.entity, mode=reference.mode))
         # The round trip (both legs plus central-side queueing/locking)
@@ -667,7 +682,7 @@ class LocalSite(SiteBase):
         if home_updates:
             self._propagate(home_updates)
         if remote_locked or remote_updates:
-            self._send_central("remote-commit", RemoteCommit(
+            self._send_central(RemoteCommit(
                 txn_id=txn.txn_id, site=self.site_id,
                 updates=remote_updates))
         txn.complete(self.env.now)
@@ -697,9 +712,9 @@ class LocalSite(SiteBase):
                         self.fenced_messages += 1
                         self.metrics.record_fenced(self.site_id)
                         continue
-                    self._on_central_message(delivered)
+                    self._receive(delivered.payload)
             else:
-                self._on_central_message(message)
+                self._receive(message.payload)
 
     def _dispatch_standby(self):
         """Handle standby -> site messages.
@@ -714,60 +729,49 @@ class LocalSite(SiteBase):
                 continue
             for delivered in self.standby_channel.pump(message):
                 payload = delivered.payload
-                if isinstance(payload, FailoverNotice):
-                    self._on_failover(payload)
-                elif self.on_standby:
+                if self.on_standby:
                     self.central_suspected = False
-                    self._on_central_message(delivered)
-                else:
+                elif type(payload) is not FailoverNotice:
                     self.fenced_messages += 1
                     self.metrics.record_fenced(self.site_id)
+                    continue
+                self._receive(payload)
 
-    def _on_central_message(self, message: Message) -> None:
-        payload = message.payload
-        snapshot = getattr(payload, "snapshot", None)
+    def _receive(self, payload) -> None:
+        """Handle one central -> site payload through the table."""
+        handler = getattr(self, self.handlers[type(payload)])
+        snapshot = payload.snapshot
         # Section 4.2: by default the sites learn central state only
         # from authentication-phase traffic, not from the (far more
         # frequent) asynchronous-update acknowledgements.
-        usable = (not isinstance(payload, UpdateAck) or
-                  self.config.snapshot_on_update_acks)
-        if snapshot is not None and usable and \
-                snapshot.time > self.central_snapshot.time:
+        if snapshot.time > self.central_snapshot.time and (
+                type(payload) is not UpdateAck or
+                self.config.snapshot_on_update_acks):
             self.central_snapshot = snapshot
-        if isinstance(payload, AuthRequest):
-            # Authentication checks consume local CPU; handle in a
-            # child process so unrelated messages are not blocked.
-            self._auth_checks = [check for check in self._auth_checks
-                                 if check.is_alive]
-            self._auth_checks.append(self.env.process(
-                self._handle_auth(payload), name=f"{self.name}:auth"))
-        elif isinstance(payload, CommitOrder):
-            self._handle_commit_order(payload)
-        elif isinstance(payload, ReleaseOrder):
-            self._handle_release_order(payload)
-        elif isinstance(payload, UpdateAck):
-            self._handle_update_ack(payload)
-        elif isinstance(payload, TxnResponse):
-            self._complete_shipped(payload)
-        elif isinstance(payload, CancelAck):
-            pending = self._pending_cancels.pop(payload.txn_id, None)
-            if pending is not None:
-                pending.succeed(payload)
-        elif isinstance(payload, ShipmentReject):
-            self._handle_ship_reject(payload)
-        elif isinstance(payload, RejoinSnapshot):
-            self.env.process(self._install_rejoin_snapshot(payload),
-                             name=f"{self.name}:rejoin-install")
-        elif isinstance(payload, RemoteLockReply):
-            pending = self._pending_remote_calls.pop(payload.call_id, None)
-            if pending is not None:
-                pending.succeed(payload)
-        elif isinstance(payload, RemoteInvalidate):
-            victim = self.active.get(payload.txn_id)
-            if victim is not None and not victim.marked_for_abort:
-                victim.mark_for_abort("remote-lock-invalidated")
-        else:
-            raise TypeError(f"unexpected payload {payload!r}")
+        handler(payload)
+
+    def _on_auth_request(self, request: AuthRequest) -> None:
+        # Authentication checks consume local CPU: run each in a child
+        # process so unrelated messages are not blocked.
+        self._auth_checks = [check for check in self._auth_checks
+                             if check.is_alive]
+        self._auth_checks.append(self.env.process(
+            self._handle_auth(request), name=f"{self.name}:auth"))
+
+    def _on_cancel_ack(self, ack: CancelAck) -> None:
+        pending = self._pending_cancels.pop(ack.txn_id, None)
+        if pending is not None:
+            pending.succeed(ack)
+
+    def _on_remote_reply(self, reply: RemoteLockReply) -> None:
+        pending = self._pending_remote_calls.pop(reply.call_id, None)
+        if pending is not None:
+            pending.succeed(reply)
+
+    def _on_remote_invalidate(self, notice: RemoteInvalidate) -> None:
+        victim = self.active.get(notice.txn_id)
+        if victim is not None and not victim.marked_for_abort:
+            victim.mark_for_abort("remote-lock-invalidated")
 
     def _handle_auth(self, request: AuthRequest):
         """Authentication phase at the master site (Section 2)."""
@@ -799,7 +803,7 @@ class LocalSite(SiteBase):
                         if entity in victim.locked_entities:
                             victim.locked_entities.remove(entity)
                         aborted.append(victim_id)
-        self._send_central("auth-reply", AuthReply(
+        self._send_central(AuthReply(
             auth_id=request.auth_id, txn_id=request.txn_id,
             site=self.site_id, granted=granted,
             aborted_local_txns=tuple(aborted)))
@@ -843,8 +847,6 @@ class LocalSite(SiteBase):
             return
         self.on_standby = True
         self.central_suspected = False
-        if notice.snapshot.time > self.central_snapshot.time:
-            self.central_snapshot = notice.snapshot
         self.metrics.record_takeover(f"repoint-site-{self.site_id}")
         if self.channel is not None:
             # Stop retransmitting to the dead primary.
@@ -862,7 +864,7 @@ class LocalSite(SiteBase):
             self._redispatch_after_failover(txn)
         # Re-send unacknowledged update batches to the standby.
         for seq in sorted(self._unacked_updates):
-            self._send_central("update", UpdatePropagation(
+            self._send_central(UpdatePropagation(
                 self.site_id, self._unacked_updates[seq], seq=seq))
         # Distributed-mode remote calls: refuse, the caller aborts and
         # retries against the standby.
@@ -949,8 +951,12 @@ class LocalSite(SiteBase):
                 not self.on_standby:
             # A failover happened while this site was dead; the notice
             # was lost with everything else.  Re-point before rejoining.
-            self._on_failover(FailoverNotice(snapshot=standby.snapshot()))
-        self._send_central("rejoin", RejoinRequest(site=self.site_id))
+            self._receive(FailoverNotice(snapshot=standby.snapshot()))
+        self._send_central(RejoinRequest(site=self.site_id))
+
+    def _on_rejoin_snapshot(self, snap: RejoinSnapshot) -> None:
+        self.env.process(self._install_rejoin_snapshot(snap),
+                         name=f"{self.name}:rejoin-install")
 
     def _install_rejoin_snapshot(self, snap: RejoinSnapshot):
         """Catch-up state arrived: install it and open for business.

@@ -18,6 +18,9 @@ Message flows (Section 2 of the paper):
 * ``ReleaseOrder``      central -> site : authentication failed somewhere;
   release any locks granted to the transaction at this master.
 
+The ``HANDLERS`` tables of the site classes list every payload and its
+receiver, one row per payload type.
+
 Every central -> site payload carries a :class:`CentralSnapshot`, which is
 how the dynamic routing strategies learn (delayed) central state: the
 paper notes the central queue length "is only updated during
@@ -62,6 +65,14 @@ __all__ = [
 ]
 
 
+def message(kind: str):
+    """Declare a payload: a slotted dataclass sent and traced as ``kind``."""
+    def declare(cls):
+        cls.kind = kind
+        return dataclass(slots=True)(cls)
+    return declare
+
+
 @dataclass(slots=True)
 class CentralSnapshot:
     """Central-site state as sampled when a message was sent.
@@ -84,14 +95,14 @@ class CentralSnapshot:
                                n_txns=0, locks_held=0)
 
 
-@dataclass
+@message("txn")
 class TxnShipment:
     """Input message carrying a transaction to the central site."""
 
     txn: Transaction
 
 
-@dataclass
+@message("update")
 class UpdatePropagation:
     """Asynchronous update batch from a local commit (or several).
 
@@ -113,7 +124,7 @@ class UpdatePropagation:
         return tuple(entity for group in self.updates for entity in group)
 
 
-@dataclass
+@message("update-ack")
 class UpdateAck:
     """Acknowledgement of one :class:`UpdatePropagation` batch."""
 
@@ -121,12 +132,8 @@ class UpdateAck:
     snapshot: CentralSnapshot
     seq: int = 0
 
-    @property
-    def entities(self) -> tuple[int, ...]:
-        return tuple(entity for group in self.updates for entity in group)
 
-
-@dataclass
+@message("auth-request")
 class AuthRequest:
     """Authentication-phase lock list for one committing transaction.
 
@@ -143,7 +150,7 @@ class AuthRequest:
     deadline: float | None = None
 
 
-@dataclass
+@message("auth-reply")
 class AuthReply:
     """Master-site answer to an :class:`AuthRequest`."""
 
@@ -154,7 +161,7 @@ class AuthReply:
     aborted_local_txns: tuple[int, ...] = field(default=())
 
 
-@dataclass
+@message("commit")
 class CommitOrder:
     """Commit message: apply updates, release the transaction's locks.
 
@@ -167,7 +174,7 @@ class CommitOrder:
     updates: tuple[int, ...] = ()
 
 
-@dataclass
+@message("release")
 class ReleaseOrder:
     """Clean-up after a failed authentication round."""
 
@@ -186,7 +193,7 @@ class ReleaseOrder:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@message("txn-response")
 class TxnResponse:
     """Central -> site: the output message of a shipped/central txn."""
 
@@ -194,7 +201,7 @@ class TxnResponse:
     snapshot: CentralSnapshot
 
 
-@dataclass
+@message("cancel")
 class ShipmentCancel:
     """Site -> central: give up on a shipped transaction's response."""
 
@@ -202,7 +209,7 @@ class ShipmentCancel:
     site: int
 
 
-@dataclass
+@message("cancel-ack")
 class CancelAck:
     """Central -> site: the shipment's definitive fate.
 
@@ -217,7 +224,7 @@ class CancelAck:
     snapshot: CentralSnapshot
 
 
-@dataclass
+@message("ship-reject")
 class ShipmentReject:
     """Central -> site: admission control refused the shipment.
 
@@ -242,7 +249,7 @@ class ShipmentReject:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@message("heartbeat")
 class Heartbeat:
     """Primary -> standby: liveness beacon (sent unreliably).
 
@@ -254,23 +261,22 @@ class Heartbeat:
     time: float
 
 
-@dataclass
+@message("log")
 class LogRecord:
     """Primary -> standby: one shipped log entry (reliable, in order).
 
-    ``kind`` is ``"update"`` for a site's propagated batch (``site`` /
-    ``seq`` identify it for standby-side deduplication against direct
-    re-sends after failover) or ``"commit"`` for a central transaction's
-    own committed updates (``site`` is ``None``).
+    A site's propagated batch carries its ``site`` and ``seq``, which
+    identify it for standby-side deduplication against direct re-sends
+    after failover; a committed central or 2PC transaction's updates
+    carry ``site=None``.
     """
 
-    kind: str
     updates: tuple[tuple[int, ...], ...]
     site: int | None = None
     seq: int = 0
 
 
-@dataclass
+@message("takeover")
 class TakeoverNotice:
     """Standby -> primary: you have been deposed.
 
@@ -281,7 +287,7 @@ class TakeoverNotice:
     time: float
 
 
-@dataclass
+@message("failover")
 class FailoverNotice:
     """Standby -> every site: the standby is now the central complex.
 
@@ -294,14 +300,14 @@ class FailoverNotice:
     snapshot: CentralSnapshot
 
 
-@dataclass
+@message("rejoin")
 class RejoinRequest:
     """Site -> central: a crashed site asks to be caught up."""
 
     site: int
 
 
-@dataclass
+@message("rejoin-snapshot")
 class RejoinSnapshot:
     """Central -> site: catch-up state for a rejoining site.
 
@@ -323,7 +329,7 @@ class RejoinSnapshot:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@message("remote-lock")
 class RemoteLockRequest:
     """Site -> central: lock ``entity`` and return the datum."""
 
@@ -334,7 +340,7 @@ class RemoteLockRequest:
     mode: LockMode
 
 
-@dataclass
+@message("remote-reply")
 class RemoteLockReply:
     """Central -> site: grant (with data) or deadlock refusal."""
 
@@ -344,7 +350,7 @@ class RemoteLockReply:
     snapshot: CentralSnapshot
 
 
-@dataclass
+@message("remote-commit")
 class RemoteCommit:
     """Site -> central: commit a distributed transaction.
 
@@ -357,7 +363,7 @@ class RemoteCommit:
     updates: tuple[int, ...]
 
 
-@dataclass
+@message("remote-release")
 class RemoteRelease:
     """Site -> central: abort cleanup, drop the remote locks."""
 
@@ -365,7 +371,7 @@ class RemoteRelease:
     site: int
 
 
-@dataclass
+@message("remote-invalidate")
 class RemoteInvalidate:
     """Central -> site: a remote-held lock was invalidated by an
     asynchronous update; mark the distributed transaction for abort."""
@@ -384,7 +390,7 @@ class RemoteInvalidate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@message("prepare")
 class TxnPrepare:
     """Site -> central: phase 1 of a local updating commit.
 
@@ -397,7 +403,7 @@ class TxnPrepare:
     updates: tuple[int, ...]
 
 
-@dataclass
+@message("vote")
 class TxnVote:
     """Central -> site: the coordinator's vote on a ``TxnPrepare``.
 
@@ -411,7 +417,7 @@ class TxnVote:
     snapshot: CentralSnapshot
 
 
-@dataclass
+@message("decision")
 class TxnDecision:
     """Site -> central: phase 2 -- the final outcome of a prepared
     transaction.  On commit the central applies the updates to the
@@ -432,7 +438,7 @@ class TxnDecision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@message("epoch-commit")
 class EpochCommitOrder:
     """Central -> master: apply an epoch-committed central transaction's
     updates for entities mastered at this site.  Unlike ``CommitOrder``

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from ..central import CentralSite
 from ..local import LocalSite
-from ..protocol import EpochCommitOrder, TxnResponse, UpdatePropagation
+from ..protocol import EpochCommitOrder, UpdatePropagation
 from ...db.locks import LockMode
-from ...db.transaction import Placement, Transaction
+from ...db.transaction import Transaction
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH, PHASE_COMM
 
@@ -43,6 +43,9 @@ __all__ = ["EpochLocalSite", "EpochCentralSite"]
 
 class EpochLocalSite(LocalSite):
     """Local site with epoch-batched update shipping and group commit."""
+
+    HANDLERS = {**LocalSite.HANDLERS,
+                EpochCommitOrder: "_handle_epoch_commit"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -111,15 +114,6 @@ class EpochLocalSite(LocalSite):
         self.data.apply_updates(order.updates)
         self._mark_holders(order.updates, "invalidated-by-epoch-commit")
 
-    def _on_central_message(self, message) -> None:
-        payload = message.payload
-        if isinstance(payload, EpochCommitOrder):
-            if payload.snapshot.time > self.central_snapshot.time:
-                self.central_snapshot = payload.snapshot
-            self._handle_epoch_commit(payload)
-            return
-        super()._on_central_message(message)
-
     def on_crash(self) -> None:
         # Transactions whose response was parked on an epoch ack die
         # with the volatile state (the base hook clears the unacked
@@ -145,6 +139,9 @@ class EpochCentralSite(CentralSite):
     epoch buffer, are deduplicated against the log by ``(site, seq)`` and
     acknowledged -- completing the sites' parked group commits.
     """
+
+    HANDLERS = {**CentralSite.HANDLERS,
+                UpdatePropagation: "_buffer_updates"}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -183,12 +180,8 @@ class EpochCentralSite(CentralSite):
             if not wakeup.triggered:
                 wakeup.succeed(None)
 
-    def _handle_site_message(self, site_id, message):
-        payload = message.payload
-        if isinstance(payload, UpdatePropagation):
-            self._epoch_updates.append(payload)
-            return
-        yield from super()._handle_site_message(site_id, message)
+    def _buffer_updates(self, propagation: UpdatePropagation) -> None:
+        self._epoch_updates.append(propagation)
 
     def _authenticate_and_commit(self, txn: Transaction):
         """Epoch commit: wait for the boundary instead of an
@@ -221,33 +214,18 @@ class EpochCentralSite(CentralSite):
         self.metrics.record_protocol_event("epoch-central-commit")
         self.data.apply_updates(txn.update_entities)
         if txn.update_entities:
-            self._ship_log("commit", (tuple(txn.update_entities),))
+            self._ship_log((tuple(txn.update_entities),))
         for site, references in self._masters_of(txn).items():
             site_updates = tuple(entity for entity, mode in references
                                  if mode is LockMode.EXCLUSIVE)
             if site_updates:
-                self._send(site, "epoch-commit", EpochCommitOrder(
+                self._send(site, EpochCommitOrder(
                     txn_id=txn.txn_id, snapshot=self.snapshot(),
                     updates=site_updates))
-        self._release(txn)
-        self.active.pop(txn.txn_id, None)
-        if self.channels:
-            self._finished.add(txn.txn_id)
-            self._processes.pop(txn.txn_id, None)
-            txn.spans.enter(PHASE_COMM, self.env.now)
-            self._send(txn.home_site, "txn-response",
-                       TxnResponse(txn=txn, snapshot=self.snapshot()))
-            return True
-        txn.spans.enter(PHASE_COMM, self.env.now)
-        yield self.env.timeout(config.comm_delay)
-        txn.complete(self.env.now)
-        self.metrics.record_completion(txn)
-        if txn.placement is Placement.SHIPPED:
-            self.system.sites[txn.home_site].on_shipped_response(txn)
-        return True
+        return (yield from self._respond(txn))
 
-    def _on_deposed(self) -> None:
-        super()._on_deposed()
+    def _on_deposed(self, notice) -> None:
+        super()._on_deposed(notice)
         self._epoch_updates.clear()
         self._epoch_commits.clear()
 

@@ -45,6 +45,8 @@ __all__ = ["TwoPhaseLocalSite", "TwoPhaseCentralSite"]
 class TwoPhaseLocalSite(LocalSite):
     """Local site under primary-copy 2PC: prepared commits block."""
 
+    HANDLERS = {**LocalSite.HANDLERS, TxnVote: "_on_vote"}
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: Transactions between prepare and vote (holding their locks).
@@ -65,7 +67,7 @@ class TwoPhaseLocalSite(LocalSite):
         self._pending_votes[txn.txn_id] = done
         self._indoubt.add(txn.txn_id)
         self.metrics.record_protocol_event("prepare-sent")
-        self._send_central("prepare", TxnPrepare(
+        self._send_central(TxnPrepare(
             txn_id=txn.txn_id, site=self.site_id, updates=updates))
         # Blocking window: locks held, no watchdog -- coordinator
         # failure leaves this transaction in-doubt until failover.
@@ -86,7 +88,7 @@ class TwoPhaseLocalSite(LocalSite):
             return False  # re-execute, locks kept (Section 3.1 rule)
         self.metrics.record_protocol_event("vote-granted")
         # Phase 2: commit locally and tell the primary copy.
-        self._send_central("decision", TxnDecision(
+        self._send_central(TxnDecision(
             txn_id=txn.txn_id, site=self.site_id, commit=True,
             updates=updates))
         self._release(txn)
@@ -109,27 +111,19 @@ class TwoPhaseLocalSite(LocalSite):
             except Interrupt:
                 return  # the site crashed mid-check: no reply
             self.metrics.record_protocol_event("indoubt-refusal")
-            self._send_central("auth-reply", AuthReply(
+            self._send_central(AuthReply(
                 auth_id=request.auth_id, txn_id=request.txn_id,
                 site=self.site_id, granted=False,
                 aborted_local_txns=()))
             return
         yield from super()._handle_auth(request)
 
-    # -- message plumbing ----------------------------------------------------
-
-    def _on_central_message(self, message):
-        payload = message.payload
-        if isinstance(payload, TxnVote):
-            if payload.snapshot.time > self.central_snapshot.time:
-                self.central_snapshot = payload.snapshot
-            # Popped here (not on wakeup) so a duplicate vote can never
-            # hit an already-succeeded event.
-            done = self._pending_votes.pop(payload.txn_id, None)
-            if done is not None:
-                done.succeed(payload)
-            return
-        super()._on_central_message(message)
+    def _on_vote(self, vote: TxnVote) -> None:
+        # Popped here (not on wakeup) so a duplicate vote can never hit
+        # an already-succeeded event.
+        done = self._pending_votes.pop(vote.txn_id, None)
+        if done is not None:
+            done.succeed(vote)
 
     # -- recovery hooks ------------------------------------------------------
 
@@ -159,21 +153,15 @@ class TwoPhaseCentralSite(CentralSite):
     empty in-doubt registry; blocked site transactions resolve via
     refused votes and re-prepare there."""
 
+    HANDLERS = {**CentralSite.HANDLERS, TxnPrepare: "_handle_prepare",
+                TxnDecision: "_handle_decision"}
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: txn_id -> its TxnPrepare, between vote and decision.
         self._indoubt_sites: dict[int, TxnPrepare] = {}
         #: entity -> in-doubt txn_id (the conflict-detection index).
         self._indoubt_entities: dict[int, int] = {}
-
-    def _handle_site_message(self, site_id, message):
-        payload = message.payload
-        if isinstance(payload, TxnPrepare):
-            yield from self._handle_prepare(payload)
-        elif isinstance(payload, TxnDecision):
-            yield from self._handle_decision(payload)
-        else:
-            yield from super()._handle_site_message(site_id, message)
 
     def _handle_prepare(self, prepare: TxnPrepare):
         """Phase 1 at the coordinator: vote on a site's updating commit.
@@ -196,7 +184,7 @@ class TwoPhaseCentralSite(CentralSite):
         else:
             self.metrics.record_protocol_event("prepare-refused")
         self.metrics.record_auth_round(granted)
-        self._send(prepare.site, "vote", TxnVote(
+        self._send(prepare.site, TxnVote(
             txn_id=prepare.txn_id, granted=granted,
             snapshot=self.snapshot()))
 
@@ -215,10 +203,10 @@ class TwoPhaseCentralSite(CentralSite):
         yield from self.cpu_burst(self.config.instr_update_apply)
         self.data.apply_updates(decision.updates)
         self._mark_holders(decision.updates, "invalidated-by-update")
-        self._ship_log("commit", (tuple(decision.updates),))
+        self._ship_log((tuple(decision.updates),))
 
-    def _on_deposed(self) -> None:
-        super()._on_deposed()
+    def _on_deposed(self, notice) -> None:
+        super()._on_deposed(notice)
         self._indoubt_sites.clear()
         self._indoubt_entities.clear()
 

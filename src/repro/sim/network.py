@@ -52,8 +52,8 @@ ACK_KIND = "chan-ack"
 class Message:
     """An envelope carried over a :class:`Link`.
 
-    ``kind`` is a short tag used by the receiver's dispatch loop,
-    ``payload`` carries protocol-specific content, ``sent_at`` is stamped
+    ``kind`` is a short tag for traces and acknowledgement frames (the
+    receiver dispatches on the payload's type), ``payload`` carries protocol-specific content, ``sent_at`` is stamped
     by the link for latency accounting.  ``rel_seq`` is the reliability
     sequence number stamped by a :class:`ReliableEndpoint` (``None`` for
     messages sent outside a reliable channel).

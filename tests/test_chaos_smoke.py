@@ -17,6 +17,7 @@ from repro.db.locks import LockManager
 from repro.db.replica import replica_divergence
 from repro.hybrid import HybridSystem, LocalSite, paper_config
 from repro.hybrid.checker import attach_checker
+from repro.hybrid.protocol import AuthReply
 from repro.sim.faults import (
     RetryPolicy,
     breaker_flap_plan,
@@ -188,10 +189,10 @@ def test_crashed_site_neither_grants_nor_replies_to_auth(monkeypatch):
     send_central = LocalSite._send_central
     force_grant = LockManager.force_grant
 
-    def send(self, kind, payload):
-        if self.crashed and kind == "auth-reply":
+    def send(self, payload):
+        if self.crashed and isinstance(payload, AuthReply):
             while_crashed.append(("auth-reply", payload.auth_id))
-        return send_central(self, kind, payload)
+        return send_central(self, payload)
 
     def grant(self, txn_id, entity, mode):
         if self is site.locks and site.crashed:

@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from repro.core import STRATEGIES
+from repro.db.locks import LockMode
+from repro.db.transaction import Reference, Transaction, TransactionClass
 from repro.hybrid import HybridSystem, paper_config
 from repro.hybrid.checker import attach_checker
 from repro.sim.faults import (
@@ -13,6 +15,7 @@ from repro.sim.faults import (
     FaultEpisode,
     FaultPlan,
     RetryPolicy,
+    breaker_flap_plan,
     site_crash_plan,
 )
 
@@ -119,6 +122,40 @@ def test_failure_aware_routing_kicks_in():
     # While central is suspected, class A arrivals route locally without
     # consulting the router.
     assert result.fallback_routings > 0
+
+
+def test_half_open_breaker_draws_once_per_strategy_routed_arrival():
+    """The breaker's half-open probe is drawn once per class A arrival
+    that reaches the router, not again while building the observation."""
+    system = build(fault_plan=breaker_flap_plan(5.0, 40.0))
+    site = system.sites[0]
+    site.breaker.state = "half-open"
+    site.breaker.probe = 1.0  # the probe always passes
+    rng = site.breaker._rng_factory()
+    draws = []
+
+    class CountingRng:
+        def random(self):
+            draws.append(1)
+            return rng.random()
+
+    site.breaker._rng_factory = CountingRng
+    decide = site.router.decide
+    observations = []
+
+    def routed(txn, observation):
+        observations.append(observation)
+        return decide(txn, observation)
+
+    site.router.decide = routed
+    low, _high = system.partition.site_range(0)
+    txn = Transaction(txn_id=10**6, txn_class=TransactionClass.A,
+                      home_site=0,
+                      references=(Reference(low, LockMode.SHARE),),
+                      arrival_time=0.0)
+    site.submit(txn)
+    assert len(observations) == 1  # routed by the strategy
+    assert len(draws) == 1
 
 
 def test_checker_stays_clean_through_outage():
