@@ -66,7 +66,10 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #:    snapshot installs and central no longer re-sends an auth request
 #:    the site already has, so rejoin results change; SystemConfig lost
 #:    ``update_batching`` / ``update_flush_interval``.
-CACHE_VERSION = 8
+#: 9: ``admission_limit`` no longer bounds the active set of a site or
+#:    of central, so a cached plan with ``admission_limit > 0`` and no
+#:    rejoin now runs differently.
+CACHE_VERSION = 9
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

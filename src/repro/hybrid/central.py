@@ -64,7 +64,6 @@ from .protocol import (
     RemoteLockRequest,
     RemoteRelease,
     ShipmentCancel,
-    ShipmentReject,
     TakeoverNotice,
     TxnResponse,
     TxnShipment,
@@ -192,7 +191,7 @@ class CentralSite(SiteBase):
         self.handlers.update(self.FAULT_HANDLERS)
 
     def enable_recovery(self, recovery: "RecoveryPolicy") -> None:
-        """Arm the recovery subsystem (batch dedup, admission bound)."""
+        """Arm the recovery subsystem (batch dedup)."""
         self.recovery = recovery
         self._applied_batches = {}
 
@@ -384,16 +383,6 @@ class CentralSite(SiteBase):
 
     def admit(self, txn: Transaction) -> None:
         """Start executing a shipped class A or class B transaction."""
-        recovery = self.recovery
-        if recovery is not None and recovery.admission_limit > 0 and \
-                len(self.active) >= recovery.admission_limit:
-            # Bounded admission: shedding here (with an explicit reject
-            # the home site acts on immediately) beats accepting work
-            # that will only time out after clogging the queue further.
-            self.metrics.record_shed(txn, node=self.name)
-            self._send(txn.home_site, ShipmentReject(
-                txn_id=txn.txn_id, snapshot=self.snapshot()))
-            return
         self._processes[txn.txn_id] = self.env.process(
             self._run(txn), name=f"txn-{txn.txn_id}@{self.name}")
 

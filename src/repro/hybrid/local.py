@@ -32,11 +32,10 @@ site additionally participates in the survivability protocols:
   when the outage ends the site resets its channel incarnations and
   runs the RejoinRequest/RejoinSnapshot catch-up before admitting the
   arrivals it queued while down;
-* **overload control** -- bounded admission (shed when the active set
-  is full), end-to-end deadlines propagated through shipment and
-  authentication messages (doomed work is cancelled early), and a
-  circuit breaker on the site->central path that trips on consecutive
-  shipment timeouts and half-opens probabilistically.
+* **overload control** -- end-to-end deadlines propagated through
+  shipment and authentication messages (doomed work is cancelled
+  early), and a circuit breaker on the site->central path that trips
+  on consecutive shipment timeouts and half-opens probabilistically.
 
 All of this is inert -- zero events, zero RNG draws -- unless the
 recovery policy enables it, so plain runs stay bit-identical.
@@ -70,7 +69,6 @@ from .protocol import (
     RemoteLockRequest,
     RemoteRelease,
     ShipmentCancel,
-    ShipmentReject,
     TxnResponse,
     TxnShipment,
     UpdateAck,
@@ -168,7 +166,6 @@ class LocalSite(SiteBase):
     }
     FAULT_HANDLERS = {
         CancelAck: "_on_cancel_ack",
-        ShipmentReject: "_handle_ship_reject",
         RejoinSnapshot: "_on_rejoin_snapshot",
         FailoverNotice: "_on_failover",
     }
@@ -305,15 +302,9 @@ class LocalSite(SiteBase):
             # (and counted against availability).
             self.metrics.record_rejected_arrival(txn)
             return
-        if recovery is not None:
-            if recovery.deadline > 0 and txn.deadline is None:
-                txn.deadline = self.env.now + recovery.deadline
-            limit = recovery.admission_limit
-            if limit and len(self.active) >= limit:
-                # Bounded admission: shed rather than build an unbounded
-                # backlog that would miss every deadline anyway.
-                self.metrics.record_shed(txn, node=self.name)
-                return
+        if recovery is not None and recovery.deadline > 0 and \
+                txn.deadline is None:
+            txn.deadline = self.env.now + recovery.deadline
         if txn.txn_class is TransactionClass.B:
             if self.config.class_b_mode == "remote-call":
                 txn.route(Placement.DISTRIBUTED)
@@ -522,16 +513,6 @@ class LocalSite(SiteBase):
         self.metrics.record_completion(txn)
         if txn.placement is Placement.SHIPPED:
             self.on_shipped_response(txn)
-
-    def _handle_ship_reject(self, reject: ShipmentReject) -> None:
-        """Central admission control refused the shipment outright."""
-        txn = self._pending_ship.pop(reject.txn_id, None)
-        if txn is None:
-            return
-        if txn.txn_class is TransactionClass.A:
-            self._rerun_locally(txn, ":overload")
-        else:
-            self.metrics.record_failure(txn, cause="central-overload")
 
     def _rerun_locally(self, txn: Transaction, suffix: str) -> None:
         """Fail a shipped class A transaction over to a run at home."""

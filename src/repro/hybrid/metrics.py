@@ -149,7 +149,7 @@ class SimulationResult:
     # -- survivability extensions (defaulted; all zero/None without a
     # -- recovery policy) ---------------------------------------------------
 
-    #: Arrivals shed by bounded admission control (site or central).
+    #: Arrivals shed because a rejoining site's admission queue was full.
     arrivals_shed: int = 0
     #: Transactions destroyed with a site's volatile state by a crash.
     txns_lost_in_crash: int = 0
@@ -211,7 +211,7 @@ class SimulationResult:
         """Fraction of measured work requests eventually served.
 
         Committed transactions over committed plus permanently failed
-        plus rejected-at-arrival plus shed-by-admission plus
+        plus rejected-at-arrival plus shed-at-rejoin plus
         lost-in-crash.  1.0 for any run without faults.
         """
         denominator = (self.completed + self.txns_failed +

@@ -46,7 +46,6 @@ __all__ = [
     "TxnResponse",
     "ShipmentCancel",
     "CancelAck",
-    "ShipmentReject",
     "Heartbeat",
     "LogRecord",
     "TakeoverNotice",
@@ -221,20 +220,6 @@ class CancelAck:
 
     txn_id: int
     outcome: str
-    snapshot: CentralSnapshot
-
-
-@message("ship-reject")
-class ShipmentReject:
-    """Central -> site: admission control refused the shipment.
-
-    The central complex's bounded admission queue was full; the
-    transaction never started there.  The home site re-routes class A
-    work locally and fails class B work fast (cause
-    ``"central-overload"``) instead of waiting out the retry budget.
-    """
-
-    txn_id: int
     snapshot: CentralSnapshot
 
 

@@ -180,11 +180,16 @@ class RecoveryPolicy:
       end runs an explicit catch-up: snapshot request to the active
       central (``instr_snapshot`` to build, ``instr_snapshot_apply`` to
       install) before queued arrivals are admitted.
-    * overload control -- ``admission_limit`` bounds each node's
-      resident transaction set (excess arrivals are shed);
-      ``deadline`` > 0 stamps every transaction with an end-to-end
-      deadline propagated through shipment/auth messages and cancelled
-      early via the ``ShipmentCancel`` handshake;
+      ``admission_limit`` > 0 bounds the queue of arrivals a crashed
+      site holds until catch-up ends (overflow is shed); it has no
+      effect without ``rejoin``.  It once also bounded every node's
+      active set, which the overload-control factorial in
+      ``docs/ROBUSTNESS.md`` rejected; the field stays so that saved
+      JSON plans still load.
+    * overload control -- ``deadline`` > 0 stamps every transaction
+      with an end-to-end deadline propagated through shipment/auth
+      messages and cancelled early via the ``ShipmentCancel``
+      handshake;
       ``breaker_threshold`` > 0 arms a circuit breaker on the
       site->central path that opens after that many consecutive
       shipment timeouts and half-opens after ``breaker_cooldown``
@@ -240,8 +245,7 @@ class RecoveryPolicy:
     @property
     def enabled(self) -> bool:
         """True when any recovery/overload feature is switched on."""
-        return bool(self.failover or self.rejoin or
-                    self.admission_limit > 0 or self.deadline > 0 or
+        return bool(self.failover or self.rejoin or self.deadline > 0 or
                     self.breaker_threshold > 0)
 
 
@@ -446,8 +450,8 @@ def breaker_flap_plan(warmup_time: float = 30.0,
 
     Lossy enough that shipments repeatedly time out, tripping the
     site->central circuit breaker, which then half-opens into a network
-    that is still degraded (flapping).  Deadlines and admission bounds
-    are armed so shedding and early cancellation fire too.
+    that is still degraded (flapping).  Deadlines are armed so early
+    cancellation fires too.
     """
     start = warmup_time + 0.15 * measure_time
     duration = 0.60 * measure_time
@@ -459,7 +463,7 @@ def breaker_flap_plan(warmup_time: float = 30.0,
         retry=retry or RetryPolicy())
     return plan.with_recovery(RecoveryPolicy(
         breaker_threshold=2, breaker_cooldown=3.0, breaker_probe=0.5,
-        admission_limit=96, deadline=12.0))
+        deadline=12.0))
 
 
 NAMED_PLANS = {

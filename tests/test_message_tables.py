@@ -35,7 +35,6 @@ KINDS = {
     "TxnResponse": "txn-response",
     "ShipmentCancel": "cancel",
     "CancelAck": "cancel-ack",
-    "ShipmentReject": "ship-reject",
     "Heartbeat": "heartbeat",
     "LogRecord": "log",
     "TakeoverNotice": "takeover",
