@@ -52,8 +52,9 @@ class SiteBase:
     invalidated_cause = ""
     metrics: "MetricsCollector"
     #: Inbound payload type -> handler method name; a protocol subclass
-    #: merges its own rows in.  A site's ``FAULT_HANDLERS``, the rows for
-    #: payloads only a fault plan produces, join in ``enable_reliability``.
+    #: merges its own rows in, and so does the survivability layer
+    #: (:mod:`repro.hybrid.survival`) for the payloads only a fault plan
+    #: produces.
     HANDLERS: dict[type, str] = {}
 
     def __init__(self, env: Environment, config: "SystemConfig",
@@ -64,10 +65,9 @@ class SiteBase:
         self.name = name
         self.cpu = Resource(env, capacity=1)
         self.locks = LockManager(env, name=name)
-        #: Fault injection: CPU service-time multiplier (1.0 = healthy)
-        #: and crash flag (a down site rejects new arrivals).
+        #: CPU service-time multiplier (1.0 = healthy; a fault plan's
+        #: slowdown episodes raise it).
         self.service_scale = 1.0
-        self.down = False
         #: Transactions currently running at this site.
         self.active: dict[int, Transaction] = {}
         #: Their processes, so a crash or a cancel can interrupt them.

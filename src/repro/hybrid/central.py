@@ -16,20 +16,10 @@ The central site
 Every message it sends to a site piggybacks a :class:`CentralSnapshot`,
 the mechanism by which (delayed) central state reaches the routers.
 
-**Hot standby.**  When the fault plan's recovery policy enables
-failover, a second instance of the protocol's central class runs in the
-standby role (``is_active`` false until takeover).  The primary ships
-its applied update stream as :class:`LogRecord` frames over a reliable
-log channel and sends :class:`Heartbeat` beacons *unreliably* on the
-same link pair -- silence, not a nack, signals death.  The standby
-replays the log into its replica (deduplicated by ``(site, seq)``, so
-direct re-sends after a failover compose with it).  When the heartbeat
-lease expires it takes over: it pays a takeover CPU burst, broadcasts
-:class:`FailoverNotice` to every site over its own site links, and
-sends a reliable :class:`TakeoverNotice` that deposes the primary once
-the partition heals.  Sites then re-point their routing and settle
-everything in flight conservatively (abort and retry).  Failover is
-sticky: the primary never reclaims the role within a run.
+Under a fault plan the site runs with the survivability layer of
+:mod:`repro.hybrid.survival` composed over it (reliable channels, the
+cancel handshake, rejoin and the hot-standby role); this module is the
+fault-free Section 2 protocol alone.
 """
 
 from __future__ import annotations
@@ -43,36 +33,26 @@ from ..db.replica import ReplicaStore
 from ..db.transaction import Placement, Transaction
 from ..db.workload import LockSpacePartition
 from ..sim.engine import Environment, Event, Interrupt
-from ..sim.network import Link, Message, ReliableEndpoint
+from ..sim.network import Link, Message
 from ..sim.spans import PHASE_AUTH, PHASE_COMM
-from .base import Handlers, SiteBase
+from .base import SiteBase
 from .protocol import (
     AuthReply,
     AuthRequest,
-    CancelAck,
     CentralSnapshot,
     CommitOrder,
-    FailoverNotice,
-    Heartbeat,
-    LogRecord,
-    RejoinRequest,
-    RejoinSnapshot,
     ReleaseOrder,
     RemoteCommit,
     RemoteInvalidate,
     RemoteLockReply,
     RemoteLockRequest,
     RemoteRelease,
-    ShipmentCancel,
-    TakeoverNotice,
-    TxnResponse,
     TxnShipment,
     UpdateAck,
     UpdatePropagation,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.faults import RecoveryPolicy
     from .config import SystemConfig
     from .metrics import MetricsCollector
     from .system import HybridSystem
@@ -103,8 +83,7 @@ class _PendingAuth:
 
 
 class CentralSite(SiteBase):
-    """The central computing complex of the hybrid architecture (the
-    primary, or with ``standby=True`` its hot standby)."""
+    """The central computing complex of the hybrid architecture."""
 
     invalidated_cause = "central-invalidated"
 
@@ -117,21 +96,15 @@ class CentralSite(SiteBase):
         RemoteCommit: "_handle_remote_commit",
         RemoteRelease: "_handle_remote_release",
     }
-    FAULT_HANDLERS = {
-        ShipmentCancel: "_handle_cancel",
-        RejoinRequest: "_on_rejoin_request",
-    }
-    #: The primary <-> standby log stream (wired only for failover).
-    LOG_HANDLERS = {
-        TakeoverNotice: "_on_deposed",
-        Heartbeat: "_on_heartbeat",
-        LogRecord: "_apply_log",
-    }
+    #: Whether this central holds the central role, and whether a
+    #: standby's takeover deposed it: fixed for the paper's single
+    #: central; the survivability layer's standby role changes them.
+    is_active = True
+    deposed = False
 
     def __init__(self, env: Environment, config: "SystemConfig",
                  system: "HybridSystem", partition: LockSpacePartition,
-                 standby: bool = False):
-        name = "standby" if standby else "central"
+                 name: str = "central"):
         super().__init__(env, config, config.central_mips, name=name)
         self.system = system
         self.partition = partition
@@ -141,6 +114,9 @@ class CentralSite(SiteBase):
         self.data = ReplicaStore(name=name)
         self.to_sites: list[Link] = []
         self.from_sites: list[Link] = []
+        #: What central->site messages leave through, per site: the
+        #: links, or the survivability layer's channels.
+        self.downlinks: list = []
 
         self._auth_ids = itertools.count(1)
         self._pending_auth: dict[int, _PendingAuth] = {}
@@ -148,188 +124,16 @@ class CentralSite(SiteBase):
         #: txn_id -> home site (for invalidation notices).
         self._remote_holders: dict[int, int] = {}
 
-        # Fault tolerance (populated only when a fault plan is active).
-        self.channels: dict[int, ReliableEndpoint] = {}
-        #: Transactions whose response has been sent (cancel -> completed).
-        self._finished: set[int] = set()
-
-        # Recovery subsystem (populated only when the plan's
-        # RecoveryPolicy enables it; None otherwise, costing nothing).
-        self.recovery: "RecoveryPolicy | None" = None
-        #: This end of the primary<->standby log channel, the link it
-        #: receives on, and both directions of the pair (severed
-        #: together by a central outage).
-        self.log_endpoint: ReliableEndpoint | None = None
-        self.log_in: Link | None = None
-        self.log_links: tuple[Link, ...] = ()
-        self.is_standby = standby
-        #: True while this site holds the central role: the primary from
-        #: the start, the standby once it has taken over.
-        self.is_active = not standby
-        self.last_heartbeat = 0.0
-        #: True once a TakeoverNotice arrived: this central lost the
-        #: master role and must neither execute nor transmit.
-        self.deposed = False
-        #: Applied update batches per site (dedup across log replay and
-        #: direct re-sends after failover).  None = dedup off.
-        self._applied_batches: dict[int, set[int]] | None = None
-
     # -- wiring ---------------------------------------------------------------
 
     def attach_links(self, to_sites: list[Link],
                      from_sites: list[Link]) -> None:
         self.to_sites = to_sites
         self.from_sites = from_sites
+        self.downlinks = list(to_sites)
         for site_id, link in enumerate(from_sites):
             self.env.process(self._dispatch(site_id, link),
                              name=f"{self.name}:dispatch-{site_id}")
-
-    def enable_reliability(self, site_id: int,
-                           channel: ReliableEndpoint) -> None:
-        """Route central->site traffic through a reliable channel."""
-        self.channels[site_id] = channel
-        self.handlers.update(self.FAULT_HANDLERS)
-
-    def enable_recovery(self, recovery: "RecoveryPolicy") -> None:
-        """Arm the recovery subsystem (batch dedup)."""
-        self.recovery = recovery
-        self._applied_batches = {}
-
-    def start_log(self, endpoint: ReliableEndpoint, in_link: Link) -> None:
-        """Wire this end of the primary<->standby log link pair.
-
-        The primary sends log records (reliable) and heartbeats
-        (unreliable, raw link) through ``endpoint`` and hears the
-        standby's acks and, eventually, its TakeoverNotice on
-        ``in_link``; the standby replays what arrives on ``in_link`` and
-        arms its heartbeat lease.
-        """
-        self.log_endpoint = endpoint
-        self.log_in = in_link
-        self.log_links = (in_link, endpoint.out_link)
-        self.last_heartbeat = self.env.now
-        self.env.process(self._log_dispatch(),
-                         name=f"{self.name}:log-dispatch")
-        if self.is_standby:
-            self.env.process(self._lease_monitor(),
-                             name=f"{self.name}:lease-monitor")
-        else:
-            self.env.process(self._heartbeat_loop(),
-                             name=f"{self.name}:heartbeat")
-
-    def _log_dispatch(self):
-        handlers = Handlers(self.LOG_HANDLERS)
-        while True:
-            message = yield self.log_in.mailbox.get()
-            for delivered in self.log_endpoint.pump(message):
-                payload = delivered.payload
-                work = getattr(self, handlers[type(payload)])(payload)
-                if work is not None:
-                    yield from work
-
-    def _on_heartbeat(self, beat: Heartbeat) -> None:
-        self.last_heartbeat = self.env.now
-
-    def _heartbeat_loop(self):
-        interval = self.recovery.heartbeat_interval
-        while not self.deposed:
-            # Raw link send, outside the reliable channel: heartbeats
-            # must not be retransmitted -- silence is the signal.
-            self.log_endpoint.out_link.send(Message(
-                kind=Heartbeat.kind, source=self.name,
-                payload=Heartbeat(time=self.env.now)))
-            yield self.env.timeout(interval)
-
-    def _ship_log(self, updates, site: int | None = None,
-                  seq: int = 0) -> None:
-        """Primary only: ship an applied update to the standby."""
-        if self.log_endpoint is None or self.deposed or self.is_standby:
-            return
-        self.log_endpoint.send(Message(
-            kind=LogRecord.kind, source=self.name,
-            payload=LogRecord(updates=updates, site=site, seq=seq)))
-
-    def _mark_batch(self, site: int | None, seq: int) -> bool:
-        """Record an update batch as applied; False when already seen."""
-        if self._applied_batches is None or site is None or seq == 0:
-            return True
-        seen = self._applied_batches.setdefault(site, set())
-        if seq in seen:
-            return False
-        seen.add(seq)
-        return True
-
-    def _on_deposed(self, notice: TakeoverNotice) -> None:
-        """The standby took over: stop executing and transmitting.
-
-        In-flight transactions are killed (their home sites already
-        re-dispatched them at failover and fence this central's
-        responses), pending retransmissions are abandoned, and pending
-        auth rounds are dropped -- the sites released this epoch's
-        master locks when they re-pointed.
-        """
-        if self.deposed:
-            return
-        self.deposed = True
-        self.metrics.record_takeover("primary-deposed")
-        for txn_id, process in list(self._processes.items()):
-            if process.is_alive:
-                process.interrupt("deposed")
-        for channel in self.channels.values():
-            channel.abandon()
-        if self.log_endpoint is not None:
-            self.log_endpoint.abandon()
-        self._pending_auth.clear()
-
-    # -- the standby role -------------------------------------------------------
-
-    def _apply_log(self, record: LogRecord):
-        """Replay one shipped log record into the standby replica."""
-        if not self._mark_batch(record.site, record.seq):
-            return
-        instr = self.recovery.instr_log_replay if self.recovery else 0
-        if instr:
-            yield from self.cpu_burst(instr * max(1, len(record.updates)))
-        entities = tuple(entity for group in record.updates
-                         for entity in group)
-        if not entities:
-            return
-        self.data.apply_updates(entities)
-        if self.is_active:
-            # Post-takeover stragglers from the dying primary can still
-            # invalidate transactions that now hold locks here.
-            self._mark_holders(entities, "invalidated-by-update")
-
-    def _lease_monitor(self):
-        policy = self.recovery
-        while not self.is_active:
-            yield self.env.timeout(policy.heartbeat_interval)
-            if self.env.now - self.last_heartbeat > policy.lease_timeout:
-                yield from self._take_over()
-                return
-
-    def _take_over(self):
-        """Assume the central role (the lease expired).
-
-        The recovery clock starts at the last heartbeat actually heard
-        -- the latest instant the primary was provably alive, within
-        one heartbeat interval of the real failure -- and stops when the
-        failover notices are broadcast.
-        """
-        failed_at = self.last_heartbeat
-        yield from self.cpu_burst(self.recovery.instr_takeover)
-        self.is_active = True
-        snapshot = self.snapshot()
-        for site_id in range(len(self.to_sites)):
-            self._send(site_id, FailoverNotice(snapshot=snapshot))
-        # Depose the primary: reliable, so it lands once the partition
-        # heals, whereupon the primary kills its zombie work.
-        self.log_endpoint.send(Message(
-            kind=TakeoverNotice.kind, source=self.name,
-            payload=TakeoverNotice(time=self.env.now)))
-        self.metrics.record_takeover("takeover")
-        self.metrics.record_recovery("failover", None, failed_at,
-                                     self.env.now)
 
     def snapshot(self) -> CentralSnapshot:
         """Sample the observable central state (piggybacked on messages)."""
@@ -344,12 +148,13 @@ class CentralSite(SiteBase):
         kind = payload.kind
         self.metrics.record_message(to_central=False, kind=kind, site=site)
         message = Message(kind=kind, source="central", payload=payload)
-        channel = self.channels.get(site)
-        if channel is not None:
-            channel.send(message)
-        else:
-            self.to_sites[site].send(message)
+        self.downlinks[site].send(message)
         return message
+
+    def _ship_log(self, updates, site: int | None = None,
+                  seq: int = 0) -> None:
+        """Hook called with every update applied here; the survivability
+        layer's primary ships it to the hot standby."""
 
     # -- inbound message handling ------------------------------------------------
 
@@ -362,13 +167,10 @@ class CentralSite(SiteBase):
         """
         while True:
             message = yield link.mailbox.get()
-            channel = self.channels.get(site_id)
-            for delivered in (channel.pump(message) if channel is not None
-                              else (message,)):
-                payload = delivered.payload
-                work = getattr(self, self.handlers[type(payload)])(payload)
-                if work is not None:
-                    yield from work
+            payload = message.payload
+            work = getattr(self, self.handlers[type(payload)])(payload)
+            if work is not None:
+                yield from work
 
     def _on_shipment(self, shipment: TxnShipment) -> None:
         self.admit(shipment.txn)
@@ -377,35 +179,10 @@ class CentralSite(SiteBase):
         self.env.process(self._handle_remote_lock(request),
                          name=f"central:remote-lock-{request.site}")
 
-    def _on_rejoin_request(self, request: RejoinRequest) -> None:
-        self.env.process(self._handle_rejoin(request),
-                         name=f"{self.name}:rejoin-{request.site}")
-
     def admit(self, txn: Transaction) -> None:
         """Start executing a shipped class A or class B transaction."""
         self._processes[txn.txn_id] = self.env.process(
             self._run(txn), name=f"txn-{txn.txn_id}@{self.name}")
-
-    def _handle_cancel(self, cancel: ShipmentCancel) -> None:
-        """Settle a shipment the home site has given up on.
-
-        The reliable channel's FIFO guarantee means the shipment itself
-        was processed before this cancel, so the transaction's fate is
-        decidable: either its response is already on the wire
-        (``completed`` -- it precedes this ack on the same FIFO channel)
-        or its execution is interrupted here and now (``killed`` -- it
-        will never commit, so the home site may re-run it safely).
-        """
-        txn_id = cancel.txn_id
-        if txn_id in self._finished:
-            outcome = "completed"
-        else:
-            outcome = "killed"
-            process = self._processes.pop(txn_id, None)
-            if process is not None and process.is_alive:
-                process.interrupt("shipment-cancelled")
-        self._send(cancel.site, CancelAck(txn_id=txn_id, outcome=outcome,
-                                          snapshot=self.snapshot()))
 
     def _apply_updates(self, propagation: UpdatePropagation):
         """Apply an asynchronous update batch (Section 2).
@@ -413,19 +190,7 @@ class CentralSite(SiteBase):
         Locks at the central site on the updated data are invalidated:
         the transactions holding them are marked for abort (they discover
         the mark at their commit check).  The batch is then acknowledged.
-
-        With recovery armed, batches are deduplicated by (site, seq):
-        after a failover a site re-sends its unacknowledged batches, and
-        the standby may already hold them from the shipped log.  A
-        duplicate is acknowledged (so the sender drains) but not
-        re-applied.
         """
-        if not self._mark_batch(propagation.source_site, propagation.seq):
-            self._send(propagation.source_site,
-                       UpdateAck(updates=propagation.updates,
-                                 snapshot=self.snapshot(),
-                                 seq=propagation.seq))
-            return
         yield from self.cpu_burst(self.config.instr_update_apply *
                                   len(propagation.updates))
         self.data.apply_updates(propagation.entities)
@@ -455,45 +220,6 @@ class CentralSite(SiteBase):
                                RemoteInvalidate(
                                    txn_id=holder_id,
                                    snapshot=self.snapshot()))
-
-    # -- site rejoin (crash recovery catch-up) --------------------------------
-
-    def _handle_rejoin(self, request: RejoinRequest):
-        """Catch a rejoining site up after a crash wiped its state.
-
-        Builds a snapshot of the site's mastered partition from the
-        central replica (covering every update the site missed *or lost*
-        while down), re-sends auth requests the crash destroyed so
-        stalled rounds resolve, and drops remote locks held by the
-        site's dead distributed transactions.
-        """
-        recovery = self.recovery
-        if recovery is not None:
-            yield from self.cpu_burst(recovery.instr_snapshot)
-        site = request.site
-        # Stalled auth rounds: the request (or its reply) died with the
-        # site's old channel incarnation; re-send over the new one.  A
-        # request already sent on the new incarnation reaches the site
-        # (which may be answering it now): re-sending it would grant the
-        # round twice and leak the second grant.
-        incarnation = self.channels[site].incarnation
-        for pending in self._pending_auth.values():
-            sent = pending.requests.get(site)
-            if sent is not None and sent.rel_inc != incarnation and \
-                    all(reply.site != site for reply in pending.replies):
-                pending.requests[site] = self._send(site, sent.payload)
-        # Remote locks held by distributed transactions of the dead site
-        # would otherwise block other sites' work forever.
-        for txn_id, home in list(self._remote_holders.items()):
-            if home == site:
-                self.locks.release_all(txn_id)
-                del self._remote_holders[txn_id]
-        low, high = self.partition.site_range(site)
-        counts = {entity: count
-                  for entity, count in self.data.snapshot().items()
-                  if low <= entity < high}
-        self._send(site, RejoinSnapshot(
-            site=site, counts=counts, snapshot=self.snapshot()))
 
     # -- remote-call data server (fully distributed class B mode) ------------
 
@@ -539,10 +265,6 @@ class CentralSite(SiteBase):
     def _collect_auth_reply(self, reply: AuthReply) -> None:
         pending = self._pending_auth.get(reply.auth_id)
         if pending is None:
-            if self.channels:
-                # Cancelled rounds are deregistered once fully replied;
-                # anything later is a harmless straggler.
-                return
             raise RuntimeError(f"unknown auth round {reply.auth_id}")
         pending.replies.append(reply)
         if len(pending.replies) == pending.expected:
@@ -565,19 +287,6 @@ class CentralSite(SiteBase):
     def _finish(self, txn: Transaction):
         # Returns the generator itself: no extra ``yield from`` level.
         return self._authenticate_and_commit(txn)
-
-    def _interrupted(self, txn: Transaction) -> None:
-        """ShipmentCancel: the home site gave up on this transaction.
-
-        Release everything held here (``release_all`` also cancels any
-        queued lock request) and stop without completing -- the cancel
-        handshake guarantees nobody still expects a response.  Master
-        locks, if an authentication round was in flight, are released
-        as its replies arrive (see ``_collect_auth_reply`` and
-        ``_authenticate_and_commit``).
-        """
-        self._release(txn)
-        self.metrics.record_cancelled(txn)
 
     def _masters_of(self, txn: Transaction) -> dict[int, list]:
         """Group the transaction's references by master site.
@@ -685,17 +394,6 @@ class CentralSite(SiteBase):
         # The transaction no longer occupies the central site; the output
         # message travels back to the user's region.
         self.active.pop(txn.txn_id, None)
-        if self.channels:
-            # Reliability on: the response is a real message on the
-            # site's channel, so it survives outages via retransmission
-            # and (being FIFO-ordered with cancel-acks) is definitive.
-            # Past this point the transaction can no longer be killed.
-            self._finished.add(txn.txn_id)
-            self._processes.pop(txn.txn_id, None)
-            txn.spans.enter(PHASE_COMM, self.env.now)
-            self._send(txn.home_site,
-                       TxnResponse(txn=txn, snapshot=self.snapshot()))
-            return True
         txn.spans.enter(PHASE_COMM, self.env.now)
         yield self.env.timeout(self.config.comm_delay)
         txn.complete(self.env.now)

@@ -17,59 +17,34 @@ A local site
   central messages -- the (delayed) central state the dynamic routing
   strategies consume.
 
-Under a fault plan with a :class:`~repro.sim.faults.RecoveryPolicy` the
-site additionally participates in the survivability protocols:
-
-* **failover** -- on a :class:`FailoverNotice` from the hot standby the
-  site re-points its central routing, fences all further traffic from
-  the deposed primary (frames are still acked so retransmission stops,
-  but never processed), settles every in-flight shipment (class A
-  re-runs locally, class B re-ships to the standby), releases the dead
-  primary's phantom master locks and re-sends unacknowledged update
-  batches;
-* **crash rejoin** -- a site crash destroys all volatile state (running
-  transactions, lock table, replica counters, channel bookkeeping);
-  when the outage ends the site resets its channel incarnations and
-  runs the RejoinRequest/RejoinSnapshot catch-up before admitting the
-  arrivals it queued while down;
-* **overload control** -- end-to-end deadlines propagated through
-  shipment and authentication messages (doomed work is cancelled
-  early), and a circuit breaker on the site->central path that trips
-  on consecutive shipment timeouts and half-opens probabilistically.
-
-All of this is inert -- zero events, zero RNG draws -- unless the
-recovery policy enables it, so plain runs stay bit-identical.
+Under a fault plan the site runs with the survivability layer of
+:mod:`repro.hybrid.survival` composed over it; this module is the
+fault-free Section 2 protocol alone.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..db.locks import DeadlockError, LockManager
+from ..db.locks import DeadlockError
 from ..db.replica import ReplicaStore
 from ..db.transaction import Placement, Reference, Transaction, \
     TransactionClass
-from ..sim.engine import Environment, Event, Interrupt, Process
-from ..sim.network import Link, Message, ReliableEndpoint
+from ..sim.engine import Environment, Event, Process
+from ..sim.network import Link, Message
 from ..sim.spans import PHASE_COMM
 from .base import SiteBase
 from .protocol import (
     AuthReply,
     AuthRequest,
-    CancelAck,
     CentralSnapshot,
     CommitOrder,
-    FailoverNotice,
-    RejoinRequest,
-    RejoinSnapshot,
     ReleaseOrder,
     RemoteCommit,
     RemoteInvalidate,
     RemoteLockReply,
     RemoteLockRequest,
     RemoteRelease,
-    ShipmentCancel,
-    TxnResponse,
     TxnShipment,
     UpdateAck,
     UpdatePropagation,
@@ -77,73 +52,11 @@ from .protocol import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.router import Router
-    from ..sim.faults import RecoveryPolicy, RetryPolicy
     from .config import SystemConfig
     from .metrics import MetricsCollector
     from .system import HybridSystem
 
-__all__ = ["LocalSite", "CircuitBreaker"]
-
-
-class CircuitBreaker:
-    """Circuit breaker for one site's path to the central complex.
-
-    Classic three-state machine: ``closed`` (normal), ``open`` (fail
-    fast after ``threshold`` consecutive shipment timeouts), and
-    ``half-open`` (after ``cooldown`` seconds each candidate shipment
-    probes the path with probability ``probe``, drawn from the site's
-    named ``breaker:`` RNG stream so runs stay reproducible).  Any
-    completed shipment closes the breaker; a timeout in half-open
-    re-opens it immediately.
-    """
-
-    def __init__(self, env: Environment, threshold: int, cooldown: float,
-                 probe: float, rng_factory, on_transition):
-        self.env = env
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.probe = probe
-        self._rng_factory = rng_factory
-        self._on_transition = on_transition
-        self.state = "closed"
-        self.consecutive_timeouts = 0
-        self.opened_at = float("-inf")
-
-    def allows(self) -> bool:
-        """May a shipment be sent right now?  (May transition states.)"""
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            if self.env.now - self.opened_at < self.cooldown:
-                return False
-            self._transition("half-open")
-        # Half-open: probabilistic probe.
-        return self._rng_factory().random() < self.probe
-
-    def on_timeout(self) -> None:
-        self.consecutive_timeouts += 1
-        if self.state == "half-open" or (
-                self.state == "closed" and
-                self.consecutive_timeouts >= self.threshold):
-            self.opened_at = self.env.now
-            self._transition("open")
-
-    def on_success(self) -> None:
-        self.consecutive_timeouts = 0
-        if self.state != "closed":
-            self._transition("closed")
-
-    def reset(self) -> None:
-        """Silent reset (crash recovery wipes the breaker's memory)."""
-        self.state = "closed"
-        self.consecutive_timeouts = 0
-        self.opened_at = float("-inf")
-
-    def _transition(self, to: str) -> None:
-        if to == self.state:
-            return
-        self.state = to
-        self._on_transition(to)
+__all__ = ["LocalSite"]
 
 
 class LocalSite(SiteBase):
@@ -160,15 +73,13 @@ class LocalSite(SiteBase):
         CommitOrder: "_handle_commit_order",
         ReleaseOrder: "_handle_release_order",
         UpdateAck: "_handle_update_ack",
-        TxnResponse: "_complete_shipped",
         RemoteLockReply: "_on_remote_reply",
         RemoteInvalidate: "_on_remote_invalidate",
     }
-    FAULT_HANDLERS = {
-        CancelAck: "_on_cancel_ack",
-        RejoinSnapshot: "_on_rejoin_snapshot",
-        FailoverNotice: "_on_failover",
-    }
+    #: The survivability layer's standby links; perfbench reads them on
+    #: every site, so a fault-free site has them too.
+    to_standby: Link | None = None
+    from_standby: Link | None = None
 
     def __init__(self, env: Environment, site_id: int,
                  config: "SystemConfig", system: "HybridSystem",
@@ -188,8 +99,11 @@ class LocalSite(SiteBase):
         self.central_snapshot = CentralSnapshot.empty()
 
         # Links are attached by the system after both endpoints exist.
+        # ``uplink`` is what site->central messages leave through: the
+        # link itself, or the survivability layer's channel.
         self.to_central: Link | None = None
         self.from_central: Link | None = None
+        self.uplink: Link | None = None
 
         #: Per-site monotone batch number for update propagation; every
         #: sent batch is tracked until its ack arrives so a stale or
@@ -203,108 +117,18 @@ class LocalSite(SiteBase):
         #: Remote locks each distributed transaction holds at central.
         self._remote_locked: dict[int, set[int]] = {}
 
-        # Fault tolerance (populated only when a fault plan is active;
-        # everything below stays inert otherwise).
-        self.channel: ReliableEndpoint | None = None
-        self.retry: "RetryPolicy | None" = None
-        #: Whether repeated shipment timeouts have marked central suspect.
-        self.central_suspected = False
-        #: Shipped transactions awaiting their response: txn_id -> txn.
-        self._pending_ship: dict[int, Transaction] = {}
-        #: In-progress ShipmentCancel handshakes: txn_id -> Event.
-        self._pending_cancels: dict[int, "Event"] = {}
-
-        # Recovery subsystem (populated only when the fault plan's
-        # RecoveryPolicy enables it; inert otherwise).
-        self.recovery: "RecoveryPolicy | None" = None
-        self.to_standby: Link | None = None
-        self.from_standby: Link | None = None
-        self.standby_channel: ReliableEndpoint | None = None
-        #: True once a FailoverNotice re-pointed routing at the standby.
-        self.on_standby = False
-        #: True while a SITE_CRASH episode is destroying this site.
-        self.crashed = False
-        #: True between episode end and rejoin-snapshot installation.
-        self.recovering = False
-        self._rejoin_started = 0.0
-        #: Arrivals queued during crash/recovery (bounded admission).
-        self._admission_queue: list[Transaction] = []
-        #: Shipment watchdogs, likewise interruptible on crash.
-        self._watchdogs: dict[int, Process] = {}
-        #: Master authentication checks (``_handle_auth``) that may still
-        #: be running, likewise interruptible on crash.
-        self._auth_checks: list[Process] = []
-        self.breaker: CircuitBreaker | None = None
-        #: App frames discarded because they came from a deposed
-        #: primary (or arrived at a crashed site).
-        self.fenced_messages = 0
-        self.txns_lost_in_crash = 0
-
     # -- wiring --------------------------------------------------------------
 
     def attach_links(self, to_central: Link, from_central: Link) -> None:
         self.to_central = to_central
         self.from_central = from_central
+        self.uplink = to_central
         self.env.process(self._dispatch(), name=f"{self.name}:dispatch")
-
-    def enable_reliability(self, channel: ReliableEndpoint,
-                           retry: "RetryPolicy") -> None:
-        """Route site->central traffic through a reliable channel."""
-        self.channel = channel
-        self.retry = retry
-        self.handlers.update(self.FAULT_HANDLERS)
-
-    def enable_recovery(self, recovery: "RecoveryPolicy") -> None:
-        """Arm the survivability protocols this site participates in."""
-        self.recovery = recovery
-        if recovery.breaker_threshold > 0:
-            self.breaker = CircuitBreaker(
-                self.env,
-                threshold=recovery.breaker_threshold,
-                cooldown=recovery.breaker_cooldown,
-                probe=recovery.breaker_probe,
-                rng_factory=lambda: self.system.streams.stream(
-                    f"breaker:{self.name}"),
-                on_transition=lambda state: self.metrics.record_breaker(
-                    self.site_id, state))
-
-    def attach_standby(self, to_standby: Link, from_standby: Link,
-                       channel: ReliableEndpoint) -> None:
-        """Wire the pre-established link pair to the hot standby."""
-        self.to_standby = to_standby
-        self.from_standby = from_standby
-        self.standby_channel = channel
-        self.env.process(self._dispatch_standby(),
-                         name=f"{self.name}:standby-dispatch")
-
-    @property
-    def standby_links(self) -> tuple[Link, ...]:
-        """Both directions of the site<->standby pair (for the injector)."""
-        if self.to_standby is None or self.from_standby is None:
-            return ()
-        return (self.to_standby, self.from_standby)
 
     # -- arrival handling --------------------------------------------------------
 
     def submit(self, txn: Transaction) -> None:
         """Entry point for the arrival process."""
-        recovery = self.recovery
-        if self.down or self.crashed or self.recovering:
-            if recovery is not None and recovery.rejoin:
-                # Queue for post-rejoin admission (bounded).
-                limit = recovery.admission_limit
-                if limit and len(self._admission_queue) >= limit:
-                    self.metrics.record_shed(txn, node=self.name)
-                else:
-                    self._admission_queue.append(txn)
-                return
-            # A crashed site accepts no work; the arrival is turned away
-            # (and counted against availability).
-            self.metrics.record_rejected_arrival(txn)
-            return
-        if recovery is not None and recovery.deadline > 0 and \
-                txn.deadline is None:
-            txn.deadline = self.env.now + recovery.deadline
         if txn.txn_class is TransactionClass.B:
             if self.config.class_b_mode == "remote-call":
                 txn.route(Placement.DISTRIBUTED)
@@ -313,23 +137,7 @@ class LocalSite(SiteBase):
             else:
                 txn.route(Placement.CENTRAL)
                 self.metrics.record_routing(txn, reason="class-b")
-                if self.breaker is not None and not self.breaker.allows():
-                    # Class B can only run centrally: fail fast while
-                    # the breaker holds the path open.
-                    self.metrics.record_failure(txn, cause="breaker-open")
-                    return
-                self._ship(txn)
-            return
-        fallback = self._fallback_reason()
-        if fallback is not None:
-            # Failure-aware routing: with central suspected (or its state
-            # aged beyond trust) class A work stays home without even
-            # consulting the strategy.
-            txn.route(Placement.LOCAL)
-            self.metrics.record_fallback_routing(txn, fallback)
-            self.metrics.record_routing(txn,
-                                        reason=f"fallback:{fallback}")
-            self._start_process(txn, self._run(txn))
+                self._ship_class_b(txn)
             return
         observation = self.observe()
         decision = self.router.decide(txn, observation)
@@ -344,30 +152,10 @@ class LocalSite(SiteBase):
 
     def _start_process(self, txn: Transaction, generator,
                        suffix: str = "") -> None:
-        """Spawn and register a transaction process (crash-interruptible)."""
+        """Spawn and register a transaction process."""
         process = self.env.process(
             generator, name=f"txn-{txn.txn_id}@{self.name}{suffix}")
         self._processes[txn.txn_id] = process
-
-    def _fallback_reason(self) -> str | None:
-        """Why class A must stay local, or ``None`` when central is fine.
-
-        Only meaningful under a fault plan (``retry`` is ``None``
-        otherwise).  The bootstrap state -- no central message heard yet,
-        snapshot time ``-inf`` -- is *not* stale: the paper's optimistic
-        start behaviour is preserved.
-        """
-        if self.retry is None:
-            return None
-        if self.central_suspected:
-            return "central-suspected"
-        if self.breaker is not None and not self.breaker.allows():
-            return "breaker-open"
-        snapshot_time = self.central_snapshot.time
-        if snapshot_time > float("-inf") and \
-                self.env.now - snapshot_time > self.retry.snapshot_max_age:
-            return "snapshot-stale"
-        return None
 
     def observe(self):
         """Build the routing observation (exact local, delayed central)."""
@@ -386,140 +174,25 @@ class LocalSite(SiteBase):
         )
 
     def _send_central(self, payload) -> None:
-        """Send one site->central message (reliably under a fault plan).
-
-        After a failover the message goes to the standby -- which *is*
-        the central complex now -- over the pre-wired standby channel.
-        """
+        """Send one site->central message."""
         kind = payload.kind
         self.metrics.record_message(to_central=True, kind=kind,
                                     site=self.site_id)
-        message = Message(kind=kind, source=self.site_id, payload=payload)
-        if self.on_standby and self.standby_channel is not None:
-            self.standby_channel.send(message)
-        elif self.channel is not None:
-            self.channel.send(message)
-        else:
-            self.to_central.send(message)
+        self.uplink.send(Message(kind=kind, source=self.site_id,
+                                 payload=payload))
+
+    def _ship_class_b(self, txn: Transaction) -> None:
+        """Class B runs only centrally: ship it."""
+        self._ship(txn)
 
     def _ship(self, txn: Transaction) -> None:
         txn.spans.enter(PHASE_COMM, self.env.now)
         self._send_central(TxnShipment(txn))
-        if self.channel is not None:
-            self._pending_ship[txn.txn_id] = txn
-            self._watchdogs[txn.txn_id] = self.env.process(
-                self._ship_watchdog(txn),
-                name=f"txn-{txn.txn_id}@{self.name}:watchdog")
 
     def on_shipped_response(self, txn: Transaction) -> None:
         """The central site delivered the response for a shipped class A."""
         self.shipped_in_flight -= 1
         self.router.observe_completion(txn)
-
-    # -- shipment supervision (active only under a fault plan) ---------------
-
-    def _ship_watchdog(self, txn: Transaction):
-        """Bound the transaction-level wait for a shipment's response.
-
-        The reliable channel already retries individual messages forever;
-        this watchdog is the *bounded* retry budget the protocol puts on
-        the whole request/response exchange.  When the budget is
-        exhausted the site suspects the central complex and settles the
-        transaction's fate with a cancel handshake: because the channel
-        is FIFO and exactly-once, the cancel is processed strictly after
-        the shipment, so central's answer ("killed" or "completed") is
-        definitive and the transaction can never run twice.
-
-        With a deadline armed the watchdog additionally cancels the
-        shipment as soon as the deadline passes -- doomed work is pulled
-        back before it wastes more central capacity.
-        """
-        try:
-            retry = self.retry
-            delay = retry.shipment_timeout
-            deadline_hit = False
-            for _attempt in range(retry.shipment_attempts):
-                sleep = delay
-                if txn.deadline is not None:
-                    sleep = min(sleep,
-                                max(txn.deadline - self.env.now, 0.0))
-                yield self.env.timeout(sleep)
-                if txn.txn_id not in self._pending_ship:
-                    return  # response arrived
-                if txn.deadline is not None and \
-                        self.env.now >= txn.deadline:
-                    # A missed deadline is a failed exchange on the
-                    # site->central path; it feeds the breaker just
-                    # like an exhausted retry budget.
-                    deadline_hit = True
-                    if self.breaker is not None:
-                        self.breaker.on_timeout()
-                    break
-                delay *= retry.backoff
-            else:
-                self.metrics.record_timeout(txn)
-                self._suspect_central()
-                if self.breaker is not None:
-                    self.breaker.on_timeout()
-            outcome = yield from self._cancel_shipment(txn)
-            if txn.txn_id not in self._pending_ship:
-                return  # response (or a failover) raced the cancel
-            if outcome != "killed":
-                return  # "completed": the response is on the wire
-            del self._pending_ship[txn.txn_id]
-            if deadline_hit:
-                # Past its deadline: the transaction fails outright --
-                # re-running it anywhere would still miss it.
-                if txn.placement is Placement.SHIPPED:
-                    self.shipped_in_flight -= 1
-                self.metrics.record_deadline_cancel(txn)
-                self.metrics.record_failure(txn, cause="deadline")
-                return
-            if txn.txn_class is TransactionClass.A:
-                self._rerun_locally(txn, ":failover")
-            else:
-                # Class B can only run centrally; the transaction fails.
-                self.metrics.record_failure(txn,
-                                            cause="shipment-cancelled")
-        except Interrupt:
-            return  # site crash: the shipment was settled by on_crash()
-        finally:
-            self._watchdogs.pop(txn.txn_id, None)
-
-    def _cancel_shipment(self, txn: Transaction):
-        """ShipmentCancel round trip; returns central's verdict."""
-        done = Event(self.env)
-        self._pending_cancels[txn.txn_id] = done
-        self._send_central(ShipmentCancel(txn_id=txn.txn_id,
-                                          site=self.site_id))
-        ack: CancelAck = yield done
-        return ack.outcome
-
-    def _suspect_central(self) -> None:
-        """Mark central suspect and age out its (now stale) snapshot."""
-        if self.central_suspected:
-            return
-        self.central_suspected = True
-        self.central_snapshot = CentralSnapshot.empty()
-
-    def _complete_shipped(self, response: TxnResponse) -> None:
-        """A TxnResponse closed out a shipped/central transaction."""
-        txn = response.txn
-        if self._pending_ship.pop(txn.txn_id, None) is None:
-            return  # already settled by the cancel handshake
-        if self.breaker is not None:
-            self.breaker.on_success()
-        txn.complete(self.env.now)
-        self.metrics.record_completion(txn)
-        if txn.placement is Placement.SHIPPED:
-            self.on_shipped_response(txn)
-
-    def _rerun_locally(self, txn: Transaction, suffix: str) -> None:
-        """Fail a shipped class A transaction over to a run at home."""
-        self.shipped_in_flight -= 1
-        txn.route(Placement.LOCAL)
-        self.metrics.record_failover(txn)
-        self._start_process(txn, self._run(txn), suffix=suffix)
 
     # -- local class A execution ----------------------------------------------
 
@@ -537,12 +210,6 @@ class LocalSite(SiteBase):
             self._commit_distributed(txn)
             return True
         return (yield from self._commit_phase(txn))
-
-    def _interrupted(self, txn: Transaction) -> None:
-        """The site crashed under this running transaction."""
-        self._release(txn)
-        self.txns_lost_in_crash += 1
-        self.metrics.record_lost_in_crash(txn)
 
     def _commit_phase(self, txn: Transaction):
         """Commit-protocol hook: finish a transaction that passed its
@@ -672,51 +339,10 @@ class LocalSite(SiteBase):
     # -- master-site protocol ------------------------------------------------------
 
     def _dispatch(self):
-        """Handle central -> site messages in arrival order.
-
-        After a failover the deposed primary is *fenced*: its frames are
-        still pumped through the channel (the ack stops its
-        retransmission timers) but never processed.
-        """
+        """Handle central -> site messages in arrival order."""
         while True:
             message = yield self.from_central.mailbox.get()
-            if self.crashed:
-                # A dead site neither acks nor processes anything.
-                continue
-            if self.channel is not None:
-                if not self.on_standby:
-                    # Any frame from the *active* central -- app message
-                    # or bare ack -- proves it is reachable again.
-                    self.central_suspected = False
-                for delivered in self.channel.pump(message):
-                    if self.on_standby:
-                        self.fenced_messages += 1
-                        self.metrics.record_fenced(self.site_id)
-                        continue
-                    self._receive(delivered.payload)
-            else:
-                self._receive(message.payload)
-
-    def _dispatch_standby(self):
-        """Handle standby -> site messages.
-
-        Before the takeover the standby sends nothing but the
-        :class:`FailoverNotice` itself; afterwards this is the central
-        message stream.
-        """
-        while True:
-            message = yield self.from_standby.mailbox.get()
-            if self.crashed:
-                continue
-            for delivered in self.standby_channel.pump(message):
-                payload = delivered.payload
-                if self.on_standby:
-                    self.central_suspected = False
-                elif type(payload) is not FailoverNotice:
-                    self.fenced_messages += 1
-                    self.metrics.record_fenced(self.site_id)
-                    continue
-                self._receive(payload)
+            self._receive(message.payload)
 
     def _receive(self, payload) -> None:
         """Handle one central -> site payload through the table."""
@@ -731,18 +357,11 @@ class LocalSite(SiteBase):
             self.central_snapshot = snapshot
         handler(payload)
 
-    def _on_auth_request(self, request: AuthRequest) -> None:
+    def _on_auth_request(self, request: AuthRequest) -> Process:
         # Authentication checks consume local CPU: run each in a child
         # process so unrelated messages are not blocked.
-        self._auth_checks = [check for check in self._auth_checks
-                             if check.is_alive]
-        self._auth_checks.append(self.env.process(
-            self._handle_auth(request), name=f"{self.name}:auth"))
-
-    def _on_cancel_ack(self, ack: CancelAck) -> None:
-        pending = self._pending_cancels.pop(ack.txn_id, None)
-        if pending is not None:
-            pending.succeed(ack)
+        return self.env.process(self._handle_auth(request),
+                                name=f"{self.name}:auth")
 
     def _on_remote_reply(self, reply: RemoteLockReply) -> None:
         pending = self._pending_remote_calls.pop(reply.call_id, None)
@@ -756,24 +375,16 @@ class LocalSite(SiteBase):
 
     def _handle_auth(self, request: AuthRequest):
         """Authentication phase at the master site (Section 2)."""
-        try:
-            yield from self.cpu_burst(self.config.instr_auth_master)
-        except Interrupt:
-            return  # the site crashed mid-check: no grant, no reply
-        entities = [entity for entity, _mode in request.references]
-        aborted: list[int] = []
-        expired = (request.deadline is not None and
-                   self.env.now > request.deadline)
-        if expired:
-            # Deadline propagation: refuse authentication for doomed
-            # work so it stops consuming master locks.
-            granted = False
-            self.metrics.record_auth_deadline_refusal(self.site_id)
-        elif any(self.locks.coherence_count(entity)
-                 for entity in entities):
-            granted = False  # in-flight asynchronous updates -> NAK
-        else:
-            granted = True
+        yield from self.cpu_burst(self.config.instr_auth_master)
+        self._answer_auth(request)
+
+    def _answer_auth(self, request: AuthRequest) -> None:
+        """NAK while asynchronous updates to the entities are in flight;
+        otherwise grant the locks, evicting and marking for abort the
+        incompatible local holders."""
+        granted = not any(self.locks.coherence_count(entity)
+                          for entity, _mode in request.references)
+        if granted:
             for entity, mode in request.references:
                 evicted = self.locks.force_grant(request.txn_id, entity,
                                                  mode)
@@ -783,11 +394,9 @@ class LocalSite(SiteBase):
                         victim.mark_for_abort("invalidated-by-authentication")
                         if entity in victim.locked_entities:
                             victim.locked_entities.remove(entity)
-                        aborted.append(victim_id)
         self._send_central(AuthReply(
             auth_id=request.auth_id, txn_id=request.txn_id,
-            site=self.site_id, granted=granted,
-            aborted_local_txns=tuple(aborted)))
+            site=self.site_id, granted=granted))
 
     def _handle_commit_order(self, order: CommitOrder) -> None:
         """Apply the central transaction's updates, release its locks."""
@@ -810,152 +419,3 @@ class LocalSite(SiteBase):
         for group in ack.updates:
             for entity in group:
                 self.locks.decrement_coherence(entity)
-
-    # -- failover (hot standby took over) ------------------------------------
-
-    def _on_failover(self, notice: FailoverNotice) -> None:
-        """The standby is the central complex now: re-point and settle.
-
-        Everything that was in flight against the dead primary is
-        resolved conservatively: class A shipments re-run locally,
-        class B shipments re-ship to the standby, cancel handshakes are
-        answered "killed" on the primary's behalf, the primary's phantom
-        master locks are released (it can no longer commit anything),
-        and unacknowledged update batches are re-sent -- the standby
-        deduplicates them against the shipped log by ``(site, seq)``.
-        """
-        if self.on_standby:
-            return
-        self.on_standby = True
-        self.central_suspected = False
-        self.metrics.record_takeover(f"repoint-site-{self.site_id}")
-        if self.channel is not None:
-            # Stop retransmitting to the dead primary.
-            self.channel.abandon()
-        self._release_phantom_locks()
-        # Resolve in-flight cancel handshakes: the primary will never
-        # answer, and it can no longer commit, so "killed" is safe.
-        for txn_id in sorted(self._pending_cancels):
-            done = self._pending_cancels.pop(txn_id)
-            done.succeed(CancelAck(txn_id=txn_id, outcome="killed",
-                                   snapshot=notice.snapshot))
-        # Settle every in-flight shipment.
-        for txn_id in sorted(self._pending_ship):
-            txn = self._pending_ship.pop(txn_id)
-            self._redispatch_after_failover(txn)
-        # Re-send unacknowledged update batches to the standby.
-        for seq in sorted(self._unacked_updates):
-            self._send_central(UpdatePropagation(
-                self.site_id, self._unacked_updates[seq], seq=seq))
-        # Distributed-mode remote calls: refuse, the caller aborts and
-        # retries against the standby.
-        for call_id in sorted(self._pending_remote_calls):
-            done = self._pending_remote_calls.pop(call_id)
-            done.succeed(RemoteLockReply(call_id=call_id, txn_id=0,
-                                         granted=False,
-                                         snapshot=notice.snapshot))
-
-    def _release_phantom_locks(self) -> None:
-        """Release master locks held by the dead primary's transactions.
-
-        Any holder that is not a transaction running *at this site* was
-        granted during the authentication of a central/shipped
-        transaction at the deposed primary; the primary can never send
-        its commit or release order now, so the grant would pin the
-        entities forever.  Conservative abort-and-retry: drop them.
-        """
-        for txn_id in self.locks.holders():
-            if txn_id not in self.active:
-                self.locks.release_all(txn_id)
-
-    def _redispatch_after_failover(self, txn: Transaction) -> None:
-        if txn.txn_class is TransactionClass.A:
-            self._rerun_locally(txn, ":failover")
-        else:
-            # Class B can only run centrally: re-ship to the standby.
-            # This is the availability win over degrade-only operation,
-            # where the same transaction would simply fail.
-            self.metrics.record_reship(txn)
-            self._ship(txn)
-
-    # -- site crash and rejoin ------------------------------------------------
-
-    def on_crash(self) -> None:
-        """A SITE_CRASH episode begins (rejoin mode): lose volatile state.
-
-        Running transactions are interrupted (their locks die with the
-        lock table), shipped work is written off, the replica counters
-        and channel bookkeeping are wiped.  Durable state is exactly
-        what the rejoin snapshot can rebuild: nothing.
-        """
-        self.crashed = True
-        for process in [*self._processes.values(),
-                        *self._watchdogs.values(), *self._auth_checks]:
-            if process.is_alive:
-                process.interrupt("site-crash")
-        self._auth_checks = []
-        for txn_id in sorted(self._pending_ship):
-            txn = self._pending_ship.pop(txn_id)
-            if txn.placement is Placement.SHIPPED:
-                self.shipped_in_flight -= 1
-            self.txns_lost_in_crash += 1
-            self.metrics.record_lost_in_crash(txn)
-        self._pending_cancels.clear()
-        self._pending_remote_calls.clear()
-        # Remote locks of the dead transactions are cleaned up by the
-        # central complex during the rejoin handshake.
-        self._remote_locked.clear()
-        self._unacked_updates.clear()
-        # Fresh volatile state: lock table (with its coherence counts)
-        # and replica counters are gone.
-        self.locks = LockManager(self.env, name=self.name)
-        self.data = ReplicaStore(name=f"site-{self.site_id}")
-        self.central_snapshot = CentralSnapshot.empty()
-        self.central_suspected = False
-        if self.breaker is not None:
-            self.breaker.reset()
-
-    def begin_rejoin(self) -> None:
-        """The crash episode ended: run the catch-up protocol.
-
-        Channel incarnations are reset on both ends first, so every
-        frame from before (or during) the crash -- including the
-        central's retransmissions of messages the dead site never
-        processed -- is recognisably stale and dropped.
-        """
-        self.crashed = False
-        self.recovering = True
-        self._rejoin_started = self.env.now
-        self.system.reset_site_channels(self.site_id)
-        standby = getattr(self.system, "standby", None)
-        if standby is not None and standby.is_active and \
-                not self.on_standby:
-            # A failover happened while this site was dead; the notice
-            # was lost with everything else.  Re-point before rejoining.
-            self._receive(FailoverNotice(snapshot=standby.snapshot()))
-        self._send_central(RejoinRequest(site=self.site_id))
-
-    def _on_rejoin_snapshot(self, snap: RejoinSnapshot) -> None:
-        self.env.process(self._install_rejoin_snapshot(snap),
-                         name=f"{self.name}:rejoin-install")
-
-    def _install_rejoin_snapshot(self, snap: RejoinSnapshot):
-        """Catch-up state arrived: install it and open for business.
-
-        The store is replaced on arrival, before the apply burst: the
-        channel is FIFO, so every commit order received earlier is
-        already in the snapshot and every later one must land on top.
-        """
-        store = ReplicaStore(name=f"site-{self.site_id}")
-        store.restore(snap.counts)
-        self.data = store
-        recovery = self.recovery
-        if recovery is not None and recovery.instr_snapshot_apply:
-            yield from self.cpu_burst(recovery.instr_snapshot_apply)
-        self.recovering = False
-        self.metrics.record_recovery("rejoin", self.site_id,
-                                     self._rejoin_started, self.env.now)
-        queued = self._admission_queue
-        self._admission_queue = []
-        for txn in queued:
-            self.submit(txn)

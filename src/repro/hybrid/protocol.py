@@ -29,7 +29,7 @@ authentication of a centrally running transaction".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..db.locks import LockMode
 from ..db.transaction import Transaction
@@ -157,7 +157,6 @@ class AuthReply:
     txn_id: int
     site: int
     granted: bool                       # False = negative acknowledgement
-    aborted_local_txns: tuple[int, ...] = field(default=())
 
 
 @message("commit")

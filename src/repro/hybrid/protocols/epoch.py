@@ -21,11 +21,12 @@ seconds:
   (the epoch ordering *is* the commit order), distributing
   :class:`EpochCommitOrder` updates to the masters.
 
-Recovery rides on the optimistic machinery: unacknowledged epoch
-batches are re-sent on failover (``LocalSite._on_failover``) and the
-standby deduplicates them against the shipped log by ``(site, seq)``
--- which is exactly an in-flight-epoch replay; the waiting
-group-committed transactions complete when the standby's ack arrives.
+Recovery rides on the survivability layer: unacknowledged epoch
+batches are re-sent on failover
+(``SurvivableLocalSite._on_failover``) and the standby deduplicates
+them against the shipped log by ``(site, seq)`` -- which is exactly an
+in-flight-epoch replay; the waiting group-committed transactions
+complete when the standby's ack arrives.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class EpochLocalSite(LocalSite):
         waiting.extend(self._epoch_pending)
         super().on_crash()
         for txn in waiting:
-            self.txns_lost_in_crash += 1
             self.metrics.record_lost_in_crash(txn)
         self._awaiting_ack.clear()
         self._epoch_pending.clear()

@@ -113,8 +113,7 @@ class TwoPhaseLocalSite(LocalSite):
             self.metrics.record_protocol_event("indoubt-refusal")
             self._send_central(AuthReply(
                 auth_id=request.auth_id, txn_id=request.txn_id,
-                site=self.site_id, granted=False,
-                aborted_local_txns=()))
+                site=self.site_id, granted=False))
             return
         yield from super()._handle_auth(request)
 

@@ -20,7 +20,7 @@ from ..db.workload import ArrivalProcess, LockSpacePartition, \
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Environment
 from ..sim.faults import FaultInjector, FaultPlan, episode_reports
-from ..sim.network import Link, ReliableEndpoint
+from ..sim.network import Link
 from ..sim.rng import RandomStreams
 from ..sim.stats import TimeWeightedStat
 from ..sim.trace import NullTracer, Tracer
@@ -47,22 +47,41 @@ TELEMETRY_INTERVAL = 1.0
 TELEMETRY_CAPACITY = 512
 
 
-def site_classes(protocol: str) -> tuple[type[LocalSite], type[CentralSite]]:
+def site_classes(protocol: str, fault_plan: "FaultPlan | None" = None
+                 ) -> tuple[type[LocalSite], type[CentralSite]]:
     """The (local site, central site) classes realising a commit protocol.
 
     The ``2pc`` and ``epoch`` branches import their own module, so an
-    optimistic run never loads them.
+    optimistic run never loads them.  Under a non-empty ``fault_plan``
+    each class has the survivability layer of
+    :mod:`repro.hybrid.survival` composed over it.
     """
     if protocol == "optimistic":
-        return LocalSite, CentralSite
-    if protocol == "2pc":
+        pair = LocalSite, CentralSite
+    elif protocol == "2pc":
         from .protocols.twophase import TwoPhaseCentralSite, \
             TwoPhaseLocalSite
-        return TwoPhaseLocalSite, TwoPhaseCentralSite
-    if protocol == "epoch":
+        pair = TwoPhaseLocalSite, TwoPhaseCentralSite
+    elif protocol == "epoch":
         from .protocols.epoch import EpochCentralSite, EpochLocalSite
-        return EpochLocalSite, EpochCentralSite
-    raise ValueError(f"unknown commit protocol {protocol!r}")
+        pair = EpochLocalSite, EpochCentralSite
+    else:
+        raise ValueError(f"unknown commit protocol {protocol!r}")
+    if fault_plan is None or fault_plan.is_empty:
+        return pair
+    from .survival import survivable
+    return survivable(pair[0]), survivable(pair[1])
+
+
+def publish_links(link_msgs, links) -> None:
+    """Publish each link's sent, delivered and (if any) dropped count."""
+    for link in links:
+        link_msgs.labels(link.name, "sent").set(link.messages_sent)
+        link_msgs.labels(link.name, "delivered").set(
+            link.messages_delivered)
+        if link.messages_dropped:
+            link_msgs.labels(link.name, "dropped").set(
+                link.messages_dropped)
 
 
 class HybridSystem:
@@ -93,9 +112,13 @@ class HybridSystem:
                                             config.workload.n_sites)
 
         # The commit protocol is a class selection: the local and central
-        # site classes wired below (the hot standby, if any, is a second
-        # instance of the central class).
-        local_cls, central_cls = site_classes(config.protocol)
+        # site classes wired below, with the survivability layer composed
+        # over them under a fault plan (the hot standby, if any, is a
+        # second instance of the central class).
+        self.fault_plan = fault_plan
+        self.injector: FaultInjector | None = None
+        self.standby: CentralSite | None = None
+        local_cls, central_cls = site_classes(config.protocol, fault_plan)
         self.central = central_cls(self.env, config, self, self.partition)
         self.routers = [router_factory(config, site_id)
                         for site_id in range(config.n_sites)]
@@ -121,75 +144,12 @@ class HybridSystem:
                                   from_sites=to_central)
 
         # Fault injection is strictly opt-in: with no plan (or an empty
-        # one) nothing below schedules an event, touches a random stream
-        # or changes a message path, so the run stays bit-identical to a
+        # one) nothing schedules an event, touches a random stream or
+        # changes a message path, so the run stays bit-identical to a
         # plain one.
-        self.fault_plan = fault_plan
-        self.injector: FaultInjector | None = None
-        self.standby: CentralSite | None = None
         if fault_plan is not None and not fault_plan.is_empty:
-            retry = fault_plan.retry
-
-            def endpoint(link: Link, name: str) -> ReliableEndpoint:
-                return ReliableEndpoint(
-                    self.env, link, name=name,
-                    timeout=retry.message_timeout, backoff=retry.backoff,
-                    max_timeout=retry.max_message_timeout,
-                    on_retransmit=self.metrics.record_retransmit,
-                    on_duplicate=self.metrics.record_duplicate)
-
-            for site, up, down in zip(self.sites, to_central, from_central):
-                for link in (up, down):
-                    link.on_drop = self.metrics.record_drop
-                site_chan = endpoint(up, f"chan:site-{site.site_id}")
-                central_chan = endpoint(down,
-                                        f"chan:central-{site.site_id}")
-                site.enable_reliability(site_chan, retry)
-                self.central.enable_reliability(site.site_id, central_chan)
-
-            # Survivability protocols: armed only when the plan's
-            # recovery policy asks for them, so ordinary fault plans
-            # behave exactly as before.
-            recovery = fault_plan.recovery
-            if recovery.enabled:
-                self.central.enable_recovery(recovery)
-                for site in self.sites:
-                    site.enable_recovery(recovery)
-            if recovery.failover:
-                self.standby = central_cls(
-                    self.env, config, self, self.partition, standby=True)
-                self.standby.enable_recovery(recovery)
-                standby_to_sites = []
-                standby_from_sites = []
-                for site in self.sites:
-                    up = Link(self.env, config.comm_delay,
-                              name=f"site-{site.site_id}->standby")
-                    down = Link(self.env, config.comm_delay,
-                                name=f"standby->site-{site.site_id}")
-                    for link in (up, down):
-                        link.on_drop = self.metrics.record_drop
-                    site_sb = endpoint(up, f"chan:site-{site.site_id}-sb")
-                    standby_chan = endpoint(
-                        down, f"chan:standby-{site.site_id}")
-                    site.attach_standby(up, down, site_sb)
-                    self.standby.enable_reliability(site.site_id,
-                                                    standby_chan)
-                    standby_to_sites.append(down)
-                    standby_from_sites.append(up)
-                self.standby.attach_links(to_sites=standby_to_sites,
-                                          from_sites=standby_from_sites)
-                # Dedicated primary->standby log/heartbeat link pair.
-                log_up = Link(self.env, config.comm_delay,
-                              name="central->standby")
-                log_down = Link(self.env, config.comm_delay,
-                                name="standby->central")
-                for link in (log_up, log_down):
-                    link.on_drop = self.metrics.record_drop
-                primary_log = endpoint(log_up, "chan:log-primary")
-                standby_log = endpoint(log_down, "chan:log-standby")
-                self.central.start_log(primary_log, log_down)
-                self.standby.start_log(standby_log, log_up)
-            self.injector = FaultInjector(self, fault_plan)
+            from .survival import install
+            install(self, to_central, from_central)
 
         self.factory = TransactionFactory(config.workload, self.streams)
         self.arrivals = [
@@ -243,21 +203,6 @@ class HybridSystem:
             self._q_central_tw.record(
                 now, self.acting_central.cpu_queue_length)
 
-    def reset_site_channels(self, site_id: int) -> None:
-        """Start a new channel incarnation on every path touching a
-        crashed site (both ends together, standby pair included)."""
-        site = self.sites[site_id]
-        pairs = [(site.channel, self.central.channels.get(site_id))]
-        if site.standby_channel is not None and self.standby is not None:
-            pairs.append((site.standby_channel,
-                          self.standby.channels.get(site_id)))
-        for site_end, central_end in pairs:
-            if site_end is None or central_end is None:
-                continue
-            incarnation = site_end.incarnation + 1
-            site_end.reset(incarnation)
-            central_end.reset(incarnation)
-
     def _reset_after_warmup(self) -> None:
         now = self.env.now
         self.central.cpu.reset_utilization()
@@ -287,54 +232,10 @@ class HybridSystem:
                               labels=("link", "event"))
         for site in self.sites:
             grants.labels(f"site-{site.site_id}").set(site.cpu.grants)
-            for link in (site.to_central, site.from_central):
-                link_msgs.labels(link.name, "sent").set(link.messages_sent)
-                link_msgs.labels(link.name, "delivered").set(
-                    link.messages_delivered)
-                if link.messages_dropped:
-                    link_msgs.labels(link.name, "dropped").set(
-                        link.messages_dropped)
+            publish_links(link_msgs, (site.to_central, site.from_central))
         if self.injector is not None:
-            frames = reg.gauge(
-                "channel_frames",
-                "reliable channel counters by endpoint and event",
-                labels=("endpoint", "event"))
-            endpoints = [site.channel for site in self.sites]
-            endpoints += [self.central.channels[site.site_id]
-                          for site in self.sites]
-            if self.standby is not None:
-                endpoints += [site.standby_channel for site in self.sites]
-                endpoints += [self.standby.channels[site.site_id]
-                              for site in self.sites]
-                endpoints += [self.central.log_endpoint,
-                              self.standby.log_endpoint]
-            for chan in endpoints:
-                if chan is None:
-                    continue
-                frames.labels(chan.name, "retransmits").set(
-                    chan.retransmits)
-                frames.labels(chan.name, "duplicates").set(
-                    chan.duplicates_discarded)
-                frames.labels(chan.name, "acks_sent").set(chan.acks_sent)
-                frames.labels(chan.name, "stale_frames").set(
-                    chan.stale_frames)
-                frames.labels(chan.name, "ack_lag").set(chan.unacked)
-            breakers = reg.gauge("breaker_state",
-                                 "circuit breaker end state by site",
-                                 labels=("site", "state"))
-            for site in self.sites:
-                if site.breaker is not None:
-                    breakers.labels(site.name, site.breaker.state).set(1)
-            if self.standby is not None:
-                grants.labels("standby").set(self.standby.cpu.grants)
-                for link in self.standby.log_links:
-                    link_msgs.labels(link.name, "sent").set(
-                        link.messages_sent)
-                    link_msgs.labels(link.name, "delivered").set(
-                        link.messages_delivered)
-                    if link.messages_dropped:
-                        link_msgs.labels(link.name, "dropped").set(
-                            link.messages_dropped)
+            from .survival import publish_gauges
+            publish_gauges(self, grants, link_msgs)
         reg.gauge("engine_events",
                   "kernel events dispatched").single.set(
             self.env.events_processed)

@@ -242,12 +242,6 @@ class RecoveryPolicy:
                 f"breaker_probe must be in (0, 1], "
                 f"got {self.breaker_probe}")
 
-    @property
-    def enabled(self) -> bool:
-        """True when any recovery/overload feature is switched on."""
-        return bool(self.failover or self.rejoin or self.deadline > 0 or
-                    self.breaker_threshold > 0)
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -576,7 +570,8 @@ class FaultInjector:
         self.system.metrics.record_fault(episode.kind, "apply",
                                          site=episode.site)
         self._refresh()
-        if episode.kind == SITE_CRASH and self._rejoin_enabled():
+        rejoin = episode.kind == SITE_CRASH and self.plan.recovery.rejoin
+        if rejoin:
             self.system.sites[episode.site].on_crash()
         yield self.env.timeout(episode.duration)
         self._active.remove(episode)
@@ -584,11 +579,8 @@ class FaultInjector:
         self.system.metrics.record_fault(episode.kind, "revert",
                                          site=episode.site)
         self._refresh()
-        if episode.kind == SITE_CRASH and self._rejoin_enabled():
+        if rejoin:
             self.system.sites[episode.site].begin_rejoin()
-
-    def _rejoin_enabled(self) -> bool:
-        return self.plan.recovery.rejoin
 
     # -- effective-state computation ----------------------------------------
 
@@ -605,13 +597,12 @@ class FaultInjector:
     def _refresh(self) -> None:
         system = self.system
         central_down, central_slow = effective_central_state(self._active)
-        system.central.down = central_down
         system.central.service_scale = central_slow
 
         # A central outage also severs the primary<->standby log links
         # (the standby's own site links stay up -- that is the point of
         # a *hot* standby on independent infrastructure).
-        standby = getattr(system, "standby", None)
+        standby = system.standby
         if standby is not None:
             for link in standby.log_links:
                 self._set_link_fault(link, 1.0 if central_down else 0.0,
@@ -630,7 +621,7 @@ class FaultInjector:
             if standby is not None:
                 _, _, sdrop, sjitter, sfactor = effective_site_state(
                     self._active, site.site_id, central_down=False)
-                for link in site.standby_links:
+                for link in (site.to_standby, site.from_standby):
                     self._set_link_fault(link, sdrop, sjitter, sfactor)
 
 

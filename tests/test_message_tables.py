@@ -1,9 +1,10 @@
 """The per-role message tables: one handler row per payload type.
 
-Each site role dispatches inbound payloads through a ``HANDLERS`` table
-(plus ``FAULT_HANDLERS``, merged only under a fault plan, and the
-central's ``LOG_HANDLERS`` for the primary <-> standby stream), and each
-payload carries the ``kind`` it is sent and traced under.
+Each site role dispatches inbound payloads through a ``HANDLERS`` table.
+Under a fault plan the survivability layer's ``FAULT_HANDLERS`` rows
+join it in the composed classes, and the layer's central adds
+``LOG_HANDLERS`` for the primary <-> standby stream.  Each payload
+carries the ``kind`` it is sent and traced under.
 """
 
 from collections import Counter
@@ -15,6 +16,8 @@ from repro.hybrid import HybridSystem, paper_config, protocol
 from repro.hybrid.config import PROTOCOLS
 from repro.hybrid.protocol import CancelAck, CentralSnapshot, \
     FailoverNotice
+from repro.hybrid.survival import SurvivableCentralSite, \
+    SurvivableLocalSite
 from repro.hybrid.system import site_classes
 from repro.sim.faults import failover_outage_plan
 from repro.sim.network import Message
@@ -54,13 +57,14 @@ KINDS = {
 
 
 def tables(protocol_name):
-    """(class, table) for every receiving table of a protocol."""
+    """(class, table) for every receiving table of a protocol: its
+    fault-free pair's and the survivability layer's."""
     local_cls, central_cls = site_classes(protocol_name)
     return [(local_cls, local_cls.HANDLERS),
-            (local_cls, local_cls.FAULT_HANDLERS),
+            (SurvivableLocalSite, SurvivableLocalSite.FAULT_HANDLERS),
             (central_cls, central_cls.HANDLERS),
-            (central_cls, central_cls.FAULT_HANDLERS),
-            (central_cls, central_cls.LOG_HANDLERS)]
+            (SurvivableCentralSite, SurvivableCentralSite.FAULT_HANDLERS),
+            (SurvivableCentralSite, SurvivableCentralSite.LOG_HANDLERS)]
 
 
 def rows(protocol_name):
@@ -76,6 +80,20 @@ def test_each_payload_has_at_most_one_row_per_protocol(protocol_name):
     for cls, table in tables(protocol_name):
         for name in table.values():
             assert callable(getattr(cls, name)), (cls, name)
+
+
+@pytest.mark.parametrize("protocol_name", PROTOCOLS)
+def test_composed_tables_add_the_fault_rows(protocol_name):
+    plain = site_classes(protocol_name)
+    composed = site_classes(protocol_name, failover_outage_plan(5.0, 20.0))
+    for plain_cls, cls in zip(plain, composed):
+        assert issubclass(cls, plain_cls)
+        assert not set(plain_cls.HANDLERS) & set(cls.FAULT_HANDLERS)
+        assert cls.HANDLERS == {**plain_cls.HANDLERS, **cls.FAULT_HANDLERS}
+        for name in cls.HANDLERS.values():
+            assert callable(getattr(cls, name)), (cls, name)
+    for name in composed[1].LOG_HANDLERS.values():
+        assert callable(getattr(composed[1], name)), name
 
 
 def test_every_payload_has_a_row():
@@ -103,9 +121,11 @@ def test_fault_free_tables_hold_no_fault_rows(protocol_name):
     config = paper_config(total_rate=10.0, warmup_time=0.0,
                           measure_time=5.0, protocol=protocol_name)
     system = HybridSystem(config, STRATEGIES["static-optimal"](config))
-    for node in (*system.sites, system.central):
+    layers = [SurvivableLocalSite] * len(system.sites) + \
+        [SurvivableCentralSite]
+    for node, layer in zip((*system.sites, system.central), layers):
         assert set(node.handlers) == set(type(node).HANDLERS)
-        assert not set(node.handlers) & set(type(node).FAULT_HANDLERS)
+        assert not set(node.handlers) & set(layer.FAULT_HANDLERS)
     ack = CancelAck(txn_id=1, outcome="killed",
                     snapshot=CentralSnapshot.empty())
     with pytest.raises(TypeError, match="unexpected payload CancelAck"):

@@ -53,14 +53,16 @@ def test_name_protocol_config_round_trip(name):
 @pytest.mark.parametrize("protocol", BUILTINS)
 def test_standby_is_the_protocols_central_class(protocol):
     """Under a failover plan the hot standby is a second instance of the
-    protocol's own central class, inactive until it takes over."""
+    protocol's own central class (with the survivability layer composed
+    over it), inactive until it takes over."""
     config = paper_config(total_rate=10.0, warmup_time=5.0,
                           measure_time=20.0, protocol=protocol)
     plan = failover_outage_plan(warmup_time=5.0, measure_time=20.0)
     system = HybridSystem(config, STRATEGIES["queue-length"](config),
                           fault_plan=plan)
     assert type(system.standby) is type(system.central)
-    assert type(system.central) is site_classes(protocol)[1]
+    assert type(system.central) is site_classes(protocol, plan)[1]
+    assert issubclass(type(system.central), site_classes(protocol)[1])
     assert system.central.is_active
     assert not system.standby.is_active
 
