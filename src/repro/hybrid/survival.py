@@ -293,7 +293,7 @@ class SurvivableLocalSite(LocalSite):
                 self.metrics.record_failure(txn, cause="deadline")
                 return
             if txn.txn_class is TransactionClass.A:
-                self._rerun_locally(txn, ":failover")
+                self._rerun_locally(txn)
             else:
                 # Class B can only run centrally; the transaction fails.
                 self.metrics.record_failure(txn,
@@ -336,12 +336,12 @@ class SurvivableLocalSite(LocalSite):
         if pending is not None:
             pending.succeed(ack)
 
-    def _rerun_locally(self, txn: Transaction, suffix: str) -> None:
+    def _rerun_locally(self, txn: Transaction) -> None:
         """Fail a shipped class A transaction over to a run at home."""
         self.shipped_in_flight -= 1
         txn.route(Placement.LOCAL)
         self.metrics.record_failover(txn)
-        self._start_process(txn, self._run(txn), suffix=suffix)
+        self._start_process(txn, self._run(txn), suffix=":failover")
 
     def _interrupted(self, txn: Transaction) -> None:
         """The site crashed under this running transaction."""
@@ -466,7 +466,7 @@ class SurvivableLocalSite(LocalSite):
 
     def _redispatch_after_failover(self, txn: Transaction) -> None:
         if txn.txn_class is TransactionClass.A:
-            self._rerun_locally(txn, ":failover")
+            self._rerun_locally(txn)
         else:
             # Class B can only run centrally: re-ship to the standby.
             # This is the availability win over degrade-only operation,

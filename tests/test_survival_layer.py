@@ -7,6 +7,11 @@ dispatch.  ``admission_limit`` bounds only a rejoining site's arrival
 queue.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import STRATEGIES
@@ -20,6 +25,8 @@ from repro.hybrid.system import site_classes
 from repro.sim.engine import Event
 from repro.sim.faults import NAMED_PLANS, RecoveryPolicy, \
     rejoin_crash_plan, standard_outage_plan
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Members only the layer defines: state, hooks and handlers.
 LAYER_MEMBERS = ("_pending_ship", "breaker", "channel", "on_crash",
@@ -49,6 +56,27 @@ def test_fault_free_system_is_the_plain_protocol(protocol):
         for name in LAYER_MEMBERS:
             assert name not in vars(node), (type(node).__name__, name)
             assert not any(name in vars(cls) for cls in stock), name
+
+
+IMPORT_PROBE = """
+import sys
+
+from repro.experiments import runner
+
+for protocol in ("optimistic", "2pc", "epoch"):
+    runner.run_single("queue-length", 12.0, protocol=protocol,
+                      settings=runner.RunSettings(scale=0.02))
+print("repro.hybrid.survival" in sys.modules)
+"""
+
+
+def test_fault_free_runs_never_import_the_layer():
+    # A fresh interpreter: this test process has the layer loaded.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                               env=env, capture_output=True, text=True,
+                               timeout=120, check=True)
+    assert completed.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("plan_name", sorted(NAMED_PLANS))
