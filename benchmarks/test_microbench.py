@@ -307,15 +307,15 @@ def test_bench_observability_overhead_budget():
     """The full observer stack must cost <= 10% of a bare run.
 
     Times a hot run bare, then the same run with every pure observer
-    attached at once -- metrics registry, routing audit and a
-    zero-buffer streaming tracer -- and enforces the overhead budget
+    attached at once -- routing audit and a zero-buffer streaming
+    tracer; the metrics registry is part of every run -- and enforces
+    the overhead budget
     that keeps instrumentation on by default.  Best-of-N wall-clock on
     both sides damps scheduler noise (a single-shot ratio on a shared
     runner drifts far more than the budget itself).
     """
     from repro.experiments.runner import run_single
     from repro.obs.audit import RoutingAudit
-    from repro.obs.registry import MetricsRegistry
     from repro.sim.trace import Tracer
 
     settings = RunSettings(warmup_time=5.0, measure_time=30.0,
@@ -338,7 +338,6 @@ def test_bench_observability_overhead_budget():
         lambda: run_single("queue-length", 18.0, settings=settings))
     observed_seconds, observed = best_of(
         lambda: run_single("queue-length", 18.0, settings=settings,
-                           registry=MetricsRegistry(),
                            audit=RoutingAudit(),
                            tracer=Tracer(max_records=0)))
 

@@ -345,8 +345,7 @@ def run_point(strategy: str | StrategyBuilder, total_rate: float,
 def run_single(strategy: str | StrategyBuilder, total_rate: float,
                comm_delay: float = 0.2,
                settings: RunSettings | None = None,
-               tracer=None, fault_plan=None,
-               registry=None, audit=None, instrument=None,
+               tracer=None, fault_plan=None, audit=None, instrument=None,
                **config_overrides) -> SimulationResult:
     """Run one strategy at one rate, once, returning the raw result.
 
@@ -355,10 +354,8 @@ def run_single(strategy: str | StrategyBuilder, total_rate: float,
     response-time decomposition, windowed telemetry and engine profile
     -- rather than cross-replication averages.  Pass a
     :class:`~repro.sim.trace.Tracer` to capture the event log for JSONL
-    export, a :class:`~repro.sim.faults.FaultPlan` to inject faults, a
-    :class:`~repro.obs.registry.MetricsRegistry` to share the metrics
-    registry with the caller, and a
-    :class:`~repro.obs.audit.RoutingAudit` to capture every placement
+    export, a :class:`~repro.sim.faults.FaultPlan` to inject faults and
+    a :class:`~repro.obs.audit.RoutingAudit` to capture every placement
     decision with its estimator inputs.  ``instrument`` is called with
     the wired :class:`HybridSystem` just before the run starts --
     the hook point for observers that must attach pre-run (e.g.
@@ -370,8 +367,7 @@ def run_single(strategy: str | StrategyBuilder, total_rate: float,
                                  seed=settings.base_seed, **config_overrides)
     router_factory = builder(config)
     system = HybridSystem(config, router_factory, tracer=tracer,
-                          fault_plan=fault_plan, registry=registry,
-                          audit=audit)
+                          fault_plan=fault_plan, audit=audit)
     if instrument is not None:
         instrument(system)
     return system.run()

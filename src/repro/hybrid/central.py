@@ -375,17 +375,28 @@ class CentralSite(SiteBase):
             self._release_masters(txn, masters)
             self._abort_invalidated(txn)
             return False
-        # Apply the transaction's updates to the central replica and
-        # distribute per-master commit orders carrying the update lists.
+        return (yield from self._commit_and_respond(txn, masters))
+
+    def _commit_and_respond(self, txn: Transaction,
+                            masters: dict[int, list],
+                            order=CommitOrder, skip_empty: bool = False):
+        """Commit a validated transaction and respond.
+
+        Applies its updates to the central replica and sends each master
+        site an ``order`` carrying that site's update list.  With
+        ``skip_empty`` a master with no updates gets no order (the epoch
+        protocol holds no master locks to release).
+        """
         self.data.apply_updates(txn.update_entities)
         if txn.update_entities:
             self._ship_log((tuple(txn.update_entities),))
         for site, references in masters.items():
             site_updates = tuple(entity for entity, mode in references
                                  if mode is LockMode.EXCLUSIVE)
-            self._send(site, CommitOrder(
-                txn_id=txn.txn_id, snapshot=self.snapshot(),
-                updates=site_updates))
+            if site_updates or not skip_empty:
+                self._send(site, order(
+                    txn_id=txn.txn_id, snapshot=self.snapshot(),
+                    updates=site_updates))
         return (yield from self._respond(txn))
 
     def _respond(self, txn: Transaction):

@@ -430,9 +430,9 @@ class MetricsCollector:
     Every protocol-visible transition flows through one ``record_*``
     hook, and :data:`EVENTS` says what each one does: the trace kind it
     emits to the optional :class:`~repro.sim.trace.Tracer`, the
-    :class:`~repro.obs.registry.MetricsRegistry` family it increments
-    (one is created when none is passed), and whether that increment is
-    gated on the warm-up window.  :meth:`counts` reads the
+    family it increments in the collector's own
+    :class:`~repro.obs.registry.MetricsRegistry`, and whether that
+    increment is gated on the warm-up window.  :meth:`counts` reads the
     :class:`SimulationResult` counters back from the registry.  An
     optional :class:`~repro.obs.audit.RoutingAudit` receives every
     placement decision together with the observation that drove it.
@@ -440,13 +440,11 @@ class MetricsCollector:
     """
 
     def __init__(self, env: "Environment", warmup_time: float,
-                 tracer=None, registry: MetricsRegistry | None = None,
-                 audit: "RoutingAudit | None" = None):
+                 tracer=None, audit: "RoutingAudit | None" = None):
         self.env = env
         self.warmup_time = warmup_time
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.audit = audit
 
         self.response_all = RunningStat()

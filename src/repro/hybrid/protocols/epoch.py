@@ -34,7 +34,6 @@ from __future__ import annotations
 from ..central import CentralSite
 from ..local import LocalSite
 from ..protocol import EpochCommitOrder, UpdatePropagation
-from ...db.locks import LockMode
 from ...db.transaction import Transaction
 from ...sim.engine import Event, Interrupt
 from ...sim.spans import PHASE_AUTH, PHASE_COMM
@@ -212,17 +211,9 @@ class EpochCentralSite(CentralSite):
             self._abort_invalidated(txn)
             return False
         self.metrics.record_protocol_event("epoch-central-commit")
-        self.data.apply_updates(txn.update_entities)
-        if txn.update_entities:
-            self._ship_log((tuple(txn.update_entities),))
-        for site, references in self._masters_of(txn).items():
-            site_updates = tuple(entity for entity, mode in references
-                                 if mode is LockMode.EXCLUSIVE)
-            if site_updates:
-                self._send(site, EpochCommitOrder(
-                    txn_id=txn.txn_id, snapshot=self.snapshot(),
-                    updates=site_updates))
-        return (yield from self._respond(txn))
+        return (yield from self._commit_and_respond(
+            txn, self._masters_of(txn), order=EpochCommitOrder,
+            skip_empty=True))
 
     def _on_deposed(self, notice) -> None:
         super()._on_deposed(notice)

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from ..db.workload import ArrivalProcess, LockSpacePartition, \
     TransactionFactory
-from ..obs.registry import MetricsRegistry
 from ..sim.engine import Environment
 from ..sim.faults import FaultInjector, FaultPlan, episode_reports
 from ..sim.network import Link
@@ -42,7 +41,7 @@ __all__ = ["HybridSystem", "simulate", "site_classes"]
 #: far cheaper than recording every change.
 SAMPLE_INTERVAL = 0.25
 
-#: Default telemetry window length (simulated seconds) and ring capacity.
+#: Telemetry window length (simulated seconds) and ring capacity.
 TELEMETRY_INTERVAL = 1.0
 TELEMETRY_CAPACITY = 512
 
@@ -91,23 +90,17 @@ class HybridSystem:
                  router_factory: "RouterFactory",
                  seed: int | None = None,
                  tracer: "Tracer | NullTracer | None" = None,
-                 telemetry_interval: float = TELEMETRY_INTERVAL,
-                 telemetry_capacity: int = TELEMETRY_CAPACITY,
                  fault_plan: "FaultPlan | None" = None,
-                 registry: "MetricsRegistry | None" = None,
                  audit: "RoutingAudit | None" = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.env = Environment()
         self.streams = RandomStreams(self.seed)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
         self.audit = audit
         self.metrics = MetricsCollector(self.env, config.warmup_time,
-                                        tracer=self.tracer,
-                                        registry=self.registry,
-                                        audit=audit)
+                                        tracer=self.tracer, audit=audit)
+        self.registry = self.metrics.registry
         self.partition = LockSpacePartition(config.workload.lockspace,
                                             config.workload.n_sites)
 
@@ -166,8 +159,8 @@ class HybridSystem:
         self.env.process(self._sampler(), name="sampler")
 
         # Windowed run telemetry (ring-buffered; see telemetry module).
-        self.telemetry = TelemetrySampler(self, telemetry_interval,
-                                          telemetry_capacity)
+        self.telemetry = TelemetrySampler(self, TELEMETRY_INTERVAL,
+                                          TELEMETRY_CAPACITY)
 
     # -- observation helpers ------------------------------------------------
 

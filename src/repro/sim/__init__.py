@@ -15,7 +15,7 @@ from .engine import (
     StopSimulation,
     Timeout,
 )
-from .network import DuplexChannel, Link, Message
+from .network import Link, Message
 from .resources import Request, Resource, Store
 from .spans import PHASES, SpanRecorder
 from .rng import ExponentialSampler, RandomStreams, StreamReplay, \
@@ -40,7 +40,6 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
     "Timeout",
-    "DuplexChannel",
     "Link",
     "Message",
     "Request",

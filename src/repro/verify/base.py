@@ -13,7 +13,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-__all__ = ["VerifySettings", "CheckResult", "Check", "registry"]
+from ..experiments.runner import RunSettings
+from .compare import format_diff
+
+__all__ = ["VerifySettings", "CheckResult", "Check", "registry",
+           "run_settings", "identity_details"]
 
 
 @dataclass(frozen=True)
@@ -93,3 +97,22 @@ def registry(checks: list[Check]) -> dict[str, Check]:
             raise ValueError(f"duplicate check name {check.name!r}")
         by_name[check.name] = check
     return by_name
+
+
+def run_settings(settings: VerifySettings) -> RunSettings:
+    """Horizon and seed of the paired runs (differential pairs and
+    metamorphic relations)."""
+    return RunSettings(warmup_time=10.0 * settings.scale,
+                       measure_time=60.0 * settings.scale,
+                       base_seed=settings.seed)
+
+
+def identity_details(label_a: str, label_b: str, lines: list[str],
+                     reference) -> tuple[bool, str]:
+    """Verdict of a bit-identity pair from its field ``diff`` lines."""
+    if lines:
+        return False, (f"{label_a} vs {label_b}: {len(lines)} field(s) "
+                       f"differ\n" + format_diff(lines))
+    return True, (f"{label_a} == {label_b} field-for-field "
+                  f"({reference.completed} completion(s), "
+                  f"mean RT {reference.mean_response_time:.4f}s)")

@@ -17,11 +17,12 @@ Built-in pairs:
                             are read-only: every metric must match a
                             bare run (profile excluded -- the audit loop
                             schedules its own timeouts);
-``observers-vs-bare``       the full observability stack -- routing
-                            audit, engine profiler, shared metrics
-                            registry -- attached together must leave the
-                            run bit-identical to a bare one (full
-                            identity: none of them schedules events);
+``observers-vs-bare``       the routing audit and the engine profiler
+                            attached together must leave the run
+                            bit-identical to a bare one (full identity:
+                            neither schedules events); every run, the
+                            bare one included, fills its own metrics
+                            registry, so the registry is on both sides;
 ``class-b-mode-degenerate`` with no class B transactions the
                             ``central`` and ``remote-call`` execution
                             modes are the same system (full identity);
@@ -38,11 +39,12 @@ from dataclasses import replace
 from ..core import STRATEGIES
 from ..core.distributed_model import DistributedModel
 from ..db.transaction import TransactionClass
-from ..experiments.runner import RunSettings, run_single
+from ..experiments.runner import run_single
 from ..hybrid.system import HybridSystem
 from ..sim.trace import Tracer
-from .base import Check, VerifySettings, registry
-from .compare import diff, format_diff
+from .base import Check, VerifySettings, identity_details, registry, \
+    run_settings
+from .compare import diff
 
 __all__ = ["DIFFERENTIAL_PAIRS", "run_differential"]
 
@@ -58,37 +60,21 @@ MODEL_OVERLAP_TOLERANCE = 0.15
 MODEL_OVERLAP_RATE = 4.0
 
 
-def _run_settings(settings: VerifySettings) -> RunSettings:
-    return RunSettings(warmup_time=10.0 * settings.scale,
-                       measure_time=60.0 * settings.scale,
-                       base_seed=settings.seed)
-
-
-def _report_identity(label_a: str, label_b: str, lines: list[str],
-                     reference) -> tuple[bool, str]:
-    if lines:
-        return False, (f"{label_a} vs {label_b}: {len(lines)} field(s) "
-                       f"differ\n" + format_diff(lines))
-    return True, (f"{label_a} == {label_b} field-for-field "
-                  f"({reference.completed} completion(s), "
-                  f"mean RT {reference.mean_response_time:.4f}s)")
-
-
 def _check_tracer_vs_null(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     bare = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run)
     # A sink-less zero-buffer tracer still exercises every emit path.
     traced = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run,
                         tracer=Tracer(max_records=0))
     lines = diff(bare.identity_dict(), traced.identity_dict(),
                  labels=("null-tracer", "tracer"))
-    return _report_identity("null tracer", "attached tracer", lines, bare)
+    return identity_details("null tracer", "attached tracer", lines, bare)
 
 
 def _check_checker_vs_bare(settings: VerifySettings) -> tuple[bool, str]:
     from ..hybrid.checker import attach_checker
 
-    run = _run_settings(settings)
+    run = run_settings(settings)
     bare = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run)
     config = run.config_for(PAIR_RATE, 0.2, seed=run.base_seed)
     system = HybridSystem(config, STRATEGIES[PAIR_STRATEGY](config))
@@ -97,7 +83,7 @@ def _check_checker_vs_bare(settings: VerifySettings) -> tuple[bool, str]:
     lines = diff(bare.identity_dict(include_profile=False),
                  checked.identity_dict(include_profile=False),
                  labels=("bare", "checker"))
-    passed, details = _report_identity("bare run", "checker-attached run",
+    passed, details = identity_details("bare run", "checker-attached run",
                                        lines, bare)
     if passed:
         details += (f"; checker audited {checker.stats.audits} time(s), "
@@ -109,23 +95,22 @@ def _check_checker_vs_bare(settings: VerifySettings) -> tuple[bool, str]:
 def _check_observers_vs_bare(settings: VerifySettings) -> tuple[bool, str]:
     from ..obs.audit import RoutingAudit
     from ..obs.profiler import EngineProfiler
-    from ..obs.registry import MetricsRegistry
 
-    run = _run_settings(settings)
+    run = run_settings(settings)
     bare = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run)
     audit = RoutingAudit()
     profilers: list[EngineProfiler] = []
     observed = run_single(
-        PAIR_STRATEGY, PAIR_RATE, settings=run,
-        registry=MetricsRegistry(), audit=audit,
+        PAIR_STRATEGY, PAIR_RATE, settings=run, audit=audit,
         instrument=lambda system: profilers.append(
             EngineProfiler(system.env)))
     # Full identity, profile included: unlike the invariant checker the
     # observers schedule nothing, so even the event counts must match.
+    # Both runs fill their own metrics registry.
     lines = diff(bare.identity_dict(), observed.identity_dict(),
                  labels=("bare", "observed"))
-    passed, details = _report_identity(
-        "bare run", "audit+profiler+registry run", lines, bare)
+    passed, details = identity_details(
+        "bare run", "audit+profiler run", lines, bare)
     if passed:
         profiler = profilers[0]
         details += (f"; audit recorded {audit.recorded} decision(s), "
@@ -139,7 +124,7 @@ def _check_observers_vs_bare(settings: VerifySettings) -> tuple[bool, str]:
 
 def _check_class_b_mode_degenerate(
         settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     results = []
     for mode in ("central", "remote-call"):
         config = run.config_for(PAIR_RATE, 0.2)
@@ -149,14 +134,14 @@ def _check_class_b_mode_degenerate(
     central, remote = results
     lines = diff(central.identity_dict(), remote.identity_dict(),
                  labels=("central", "remote-call"))
-    return _report_identity("class-B central mode",
+    return identity_details("class-B central mode",
                             "class-B remote-call mode (no class B)",
                             lines, central)
 
 
 def _check_distributed_model_overlap(
         settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     p_b_local = 0.5
     config = run.config_for(MODEL_OVERLAP_RATE, 0.2,
                             class_b_mode="remote-call")
@@ -190,9 +175,9 @@ DIFFERENTIAL_PAIRS = registry([
                       "metrics match a bare run",
           _run=_check_checker_vs_bare),
     Check(name="observers-vs-bare", kind="differential",
-          description="the routing audit, engine profiler and metrics "
-                      "registry together do not perturb the sample path "
-                      "(full bit-identity)",
+          description="the routing audit and engine profiler together "
+                      "do not perturb the sample path (full "
+                      "bit-identity)",
           _run=_check_observers_vs_bare),
     Check(name="class-b-mode-degenerate", kind="differential",
           description="with no class B transactions the central and "

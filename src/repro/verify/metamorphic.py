@@ -35,11 +35,12 @@ from dataclasses import replace
 
 from ..core.router import AlwaysLocalRouter, AlwaysShipRouter
 from ..core.static import static_router_factory
-from ..experiments.runner import RunSettings, run_single
+from ..experiments.runner import run_single
 from ..sim.faults import FaultPlan
 from ..sim.rng import RandomStreams
-from .base import Check, VerifySettings, registry
-from .compare import diff, format_diff
+from .base import Check, VerifySettings, identity_details, registry, \
+    run_settings
+from .compare import diff
 
 __all__ = ["RELATIONS", "run_relations"]
 
@@ -56,36 +57,19 @@ DRIFT_TOLERANCE = 0.15
 MONOTONE_SLACK = 0.05
 
 
-def _run_settings(settings: VerifySettings) -> RunSettings:
-    return RunSettings(warmup_time=10.0 * settings.scale,
-                       measure_time=60.0 * settings.scale,
-                       base_seed=settings.seed)
-
-
-def _identity_details(label_a: str, label_b: str, lines: list[str],
-                      reference) -> tuple[bool, str]:
-    if lines:
-        return False, (f"{label_a} vs {label_b}: "
-                       f"{len(lines)} field(s) differ\n"
-                       + format_diff(lines))
-    return True, (f"{label_a} == {label_b} field-for-field "
-                  f"({reference.completed} completion(s), "
-                  f"mean RT {reference.mean_response_time:.4f}s)")
-
-
 def _check_empty_fault_plan(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     bare = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run,
                       fault_plan=None)
     empty = run_single(PAIR_STRATEGY, PAIR_RATE, settings=run,
                        fault_plan=FaultPlan.empty())
     lines = diff(bare.identity_dict(), empty.identity_dict(),
                  labels=("no-plan", "empty-plan"))
-    return _identity_details("no plan", "empty FaultPlan", lines, bare)
+    return identity_details("no plan", "empty FaultPlan", lines, bare)
 
 
 def _check_ship_prob_zero(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     forced = run_single(lambda config: (lambda c, i: AlwaysLocalRouter()),
                         PAIR_RATE, settings=run)
     static = run_single(lambda config: static_router_factory(0.0),
@@ -93,11 +77,11 @@ def _check_ship_prob_zero(settings: VerifySettings) -> tuple[bool, str]:
     lines = diff(forced.identity_dict(include_strategy=False),
                  static.identity_dict(include_strategy=False),
                  labels=("always-local", "static(p=0)"))
-    return _identity_details("forced-local", "static(p=0)", lines, forced)
+    return identity_details("forced-local", "static(p=0)", lines, forced)
 
 
 def _check_ship_prob_one(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     forced = run_single(lambda config: (lambda c, i: AlwaysShipRouter()),
                         PAIR_RATE, settings=run)
     static = run_single(lambda config: static_router_factory(1.0),
@@ -105,11 +89,11 @@ def _check_ship_prob_one(settings: VerifySettings) -> tuple[bool, str]:
     lines = diff(forced.identity_dict(include_strategy=False),
                  static.identity_dict(include_strategy=False),
                  labels=("always-ship", "static(p=1)"))
-    return _identity_details("forced-ship", "static(p=1)", lines, forced)
+    return identity_details("forced-ship", "static(p=1)", lines, forced)
 
 
 def _check_site_permutation(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     multipliers = (1.3, 0.7, 1.1, 0.9, 1.2, 0.8, 1.0, 1.0, 1.05, 0.95)
     permuted = multipliers[3:] + multipliers[:3]
     results = []
@@ -134,7 +118,7 @@ def _check_site_permutation(settings: VerifySettings) -> tuple[bool, str]:
 
 
 def _check_rate_monotonicity(settings: VerifySettings) -> tuple[bool, str]:
-    run = _run_settings(settings)
+    run = run_settings(settings)
     rates = (8.0, 14.0, 20.0)
     responses = [run_single(PAIR_STRATEGY, rate,
                             settings=run).mean_response_time

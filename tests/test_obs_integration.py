@@ -19,7 +19,6 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import RunSettings, run_single
 from repro.obs.audit import RoutingAudit
-from repro.obs.registry import MetricsRegistry
 
 #: So slow an arrival process that a short horizon sees no transactions.
 IDLE_RATE = 0.01
@@ -56,7 +55,7 @@ class TestZeroTransactionRun:
             "queue-length", IDLE_RATE,
             settings=RunSettings(warmup_time=1.0, measure_time=2.0,
                                  base_seed=7),
-            registry=MetricsRegistry(), audit=audit)
+            audit=audit)
         assert result.completed == 0
         assert audit.recorded == 0
         assert audit.summary().decisions == 0
@@ -90,7 +89,7 @@ class TestWarmupDominatedRun:
             "queue-length", 18.0,
             settings=RunSettings(warmup_time=30.0, measure_time=0.5,
                                  base_seed=7),
-            registry=MetricsRegistry(), audit=RoutingAudit())
+            audit=RoutingAudit())
         assert observed.identity_dict() == warmup_heavy.identity_dict()
 
 
