@@ -69,7 +69,9 @@ __all__ = ["ResultCache", "default_cache_dir", "CACHE_VERSION"]
 #: 9: ``admission_limit`` no longer bounds the active set of a site or
 #:    of central, so a cached plan with ``admission_limit > 0`` and no
 #:    rejoin now runs differently.
-CACHE_VERSION = 9
+#: 10: links no longer re-order jittered frames (the reliable channel
+#:    does), so a cached plan with link jitter now runs differently.
+CACHE_VERSION = 10
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "HYBRIDDB_CACHE_DIR"

@@ -144,8 +144,9 @@ def test_cache_version_bumped_for_covariate_fields():
     # and lost them again at 6; pickles of either schema must not be
     # read back (7 made the percentiles exact; 8 fixed the rejoin
     # faults and dropped the update-batching config fields; 9 deleted
-    # the active-set admission bound).
-    assert CACHE_VERSION == 9
+    # the active-set admission bound; 10 deleted the link re-order
+    # buffer).
+    assert CACHE_VERSION == 10
 
 
 # -- adaptive integration ----------------------------------------------------
