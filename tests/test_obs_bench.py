@@ -109,6 +109,58 @@ class TestRunBenchmarks:
         assert record["events_per_sec"] < fair["events_per_sec"]
 
 
+def _dispatch_mix(profiler):
+    """Dispatch shares (percent) by event group, and mean depth."""
+    counts = {}
+    for row in profiler.summary()["event_types"]:
+        group = row["type"].split(":")[0]
+        counts[group] = counts.get(group, 0) + row["count"]
+    total = sum(counts.values())
+    shares = {group: 100.0 * count / total
+              for group, count in counts.items()}
+    return shares, profiler.heap.mean_depth
+
+
+def test_kernel_mix_tracks_the_canonical_run(monkeypatch):
+    """The gate's workload dispatches what a real run dispatches.
+
+    Each event group's share is within 3 points of a fault-free
+    queue-length run's (18 tps, 5 s warm-up + 20 s window, whose shares
+    are within a point of the 60 s canonical run's), and the mean
+    calendar depth is within 2x of it.
+    """
+    from repro.experiments.runner import RunSettings, run_single
+    from repro.obs.bench import kernel_workload
+    from repro.obs.profiler import EngineProfiler
+    from repro.sim.engine import Environment
+
+    profilers = []
+
+    def instrument(system):
+        profilers.append(EngineProfiler(system.env))
+
+    run_single("queue-length", 18.0, instrument=instrument,
+               settings=RunSettings(warmup_time=5.0, measure_time=20.0))
+    run_shares, run_depth = _dispatch_mix(profilers.pop())
+
+    plain_run = Environment.run
+
+    def profiled_run(env, until=None):
+        profilers.append(EngineProfiler(env))
+        return plain_run(env, until=until)
+
+    monkeypatch.setattr(Environment, "run", profiled_run)
+    kernel_workload(horizon=40.0)
+    kernel_shares, kernel_depth = _dispatch_mix(profilers.pop())
+
+    for group in set(kernel_shares) | set(run_shares):
+        assert kernel_shares.get(group, 0.0) == pytest.approx(
+            run_shares.get(group, 0.0), abs=3.0), group
+    assert set(kernel_shares) == set(run_shares) == {
+        "timeout", "timer", "event", "request", "process"}
+    assert run_depth / 2 <= kernel_depth <= run_depth * 2
+
+
 @pytest.fixture
 def deterministic_engine_bench(monkeypatch):
     """Replace the wall-clock benchmark with a fixed-output stub.
