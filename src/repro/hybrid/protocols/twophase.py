@@ -74,9 +74,6 @@ class TwoPhaseLocalSite(LocalSite):
         txn.spans.enter(PHASE_AUTH, self.env.now)
         try:
             vote = yield done
-        except Interrupt:
-            txn.spans.exit(self.env.now)
-            raise
         finally:
             self._pending_votes.pop(txn.txn_id, None)
             self._indoubt.discard(txn.txn_id)

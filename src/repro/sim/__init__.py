@@ -5,8 +5,6 @@ model in :mod:`repro.hybrid` is built entirely on these primitives.
 """
 
 from .engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -31,8 +29,6 @@ from .stats import (
 from .trace import NullTracer, TraceRecord, Tracer, make_tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",

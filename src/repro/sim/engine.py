@@ -17,7 +17,6 @@ The kernel provides:
 * :class:`Interrupt` -- an exception thrown *into* a process by another
   process (used by the hybrid protocol to abort transactions that are
   waiting on a lock or sleeping in an I/O phase).
-* :class:`AllOf` / :class:`AnyOf` -- composite condition events.
 
 Determinism: events scheduled for the same simulated time fire in FIFO
 order of scheduling (a monotonically increasing sequence number breaks
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from collections.abc import Callable, Generator, Iterable
+from collections.abc import Callable, Generator
 from typing import Any
 
 # Bound at module level: a global lookup is cheaper than the attribute
@@ -66,8 +65,6 @@ __all__ = [
     "Process",
     "Timer",
     "Interrupt",
-    "AllOf",
-    "AnyOf",
     "SimulationError",
     "StopSimulation",
     "PENDING",
@@ -192,14 +189,6 @@ class Event:
         self.env._enqueue(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        if self.triggered:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._enqueue(self)
-
     def defused(self) -> None:
         """Mark a failed event as handled so it will not crash the run."""
         self._defused = True
@@ -253,97 +242,6 @@ class Timeout(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay}>"
-
-
-class _ConditionValue:
-    """Mapping of event -> value for the events a condition collected."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(key)
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {event: event._value for event in self.events}
-
-
-class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
-
-    __slots__ = ("_evaluate", "_events", "_fired", "_count")
-
-    def __init__(self, env: "Environment",
-                 evaluate: Callable[[list[Event], int], bool],
-                 events: Iterable[Event]):
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._fired: set[int] = set()
-        self._count = 0
-        for event in self._events:
-            if event.env is not env:
-                raise SimulationError("events belong to different environments")
-        if not self._events:
-            self.succeed(_ConditionValue())
-            return
-        for event in self._events:
-            if event.callbacks is not None:
-                event.callbacks.append(self._check)
-            else:
-                # Already processed: re-delivered via a mirror event, so
-                # bind the constituent to keep its identity in the value.
-                event._add_callback(
-                    lambda _mirror, event=event: self._check(event))
-
-    def _collect_value(self) -> _ConditionValue:
-        value = _ConditionValue()
-        for event in self._events:
-            if id(event) in self._fired:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event.defused()
-            return
-        self._fired.add(id(event))
-        self._count += 1
-        if not event._ok:
-            event.defused()
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_value())
-
-
-class AllOf(Condition):
-    """Fires when *all* constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count == len(events),
-                         events)
-
-
-class AnyOf(Condition):
-    """Fires when *any* constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, lambda events, count: count >= 1, events)
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -411,7 +309,7 @@ class Process(Event):
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt dead {self!r}")
-        if self._generator is self.env.active_process_generator:
+        if self.env._active is self:
             raise SimulationError("a process cannot interrupt itself")
         failure = self.env.event()
         failure._ok = False
@@ -612,24 +510,13 @@ class Environment:
             "future": len(self._future),
         }
 
-    # -- active process ----------------------------------------------------
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed (``None`` between events)."""
-        return self._active
-
-    @property
-    def active_process_generator(self):
-        return self._active._generator if self._active is not None else None
-
     # -- event construction helpers ----------------------------------------
 
     def event(self) -> Event:
         """Create a new untriggered :class:`Event`.
 
         Construction is inlined (``__new__`` plus field writes): this
-        factory sits on the condition and mailbox hot paths.
+        factory sits on the mailbox and process start-up hot paths.
         """
         event = Event.__new__(Event)
         event.env = self
@@ -655,7 +542,7 @@ class Environment:
         timeout._defused = False
         timeout.delay = delay
         # Inlined :meth:`_enqueue` (delay >= 0, priority 1): timeouts
-        # are ~40% of all dispatches, so they skip the extra call
+        # are a third of all dispatches, so they skip the extra call
         # frame.  Mirror any scheduling change made here in _enqueue
         # (and vice versa); the peak bookkeeping below is the same
         # single-site accounting documented there.
@@ -681,12 +568,6 @@ class Environment:
         """Start a :class:`Timer`: call ``action`` after ``delay``, then
         again after each delay it returns, until it returns ``None``."""
         return Timer(self, delay, action)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 

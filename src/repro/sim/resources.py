@@ -8,9 +8,10 @@ Two primitives cover every queueing station in the hybrid system model:
 * :class:`Store` -- an unbounded FIFO store of items with blocking ``get``;
   used for message mailboxes between sites.
 
-Requests are events, so a process can combine them with timeouts or be
-interrupted while queued; cancelling a queued request removes it from the
-wait queue (used when a transaction waiting for the CPU is aborted).
+Requests are events, so a process waits for a grant by yielding one and
+can be interrupted while queued; cancelling a queued request removes it
+from the wait queue (used when a transaction waiting for the CPU is
+aborted).
 """
 
 from __future__ import annotations

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     SimulationError,
@@ -289,49 +287,6 @@ def test_interrupted_process_can_continue():
     env.process(attacker(env, target))
     env.run()
     assert log == ["interrupted", 15]
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        t1 = env.timeout(3, value="a")
-        t2 = env.timeout(7, value="b")
-        result = yield AllOf(env, [t1, t2])
-        done.append((env.now, result[t1], result[t2]))
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [(7, "a", "b")]
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        t1 = env.timeout(3, value="fast")
-        t2 = env.timeout(7, value="slow")
-        result = yield AnyOf(env, [t1, t2])
-        done.append((env.now, t1 in result, t2 in result))
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [(3, True, False)]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        yield AllOf(env, [])
-        done.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [0.0]
 
 
 def test_yield_non_event_raises():

@@ -3,96 +3,11 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
-    AnyOf,
     Environment,
     Interrupt,
     Resource,
-    SimulationError,
     Store,
 )
-
-
-def test_any_of_with_failure_propagates():
-    env = Environment()
-    caught = []
-
-    def waiter(env):
-        bad = env.event()
-        good = env.timeout(10)
-
-        def fail_later(env):
-            yield env.timeout(1)
-            bad.fail(RuntimeError("nope"))
-
-        env.process(fail_later(env))
-        try:
-            yield AnyOf(env, [bad, good])
-        except RuntimeError as err:
-            caught.append(str(err))
-
-    env.process(waiter(env))
-    env.run()
-    assert caught == ["nope"]
-
-
-def test_all_of_with_failure_fails_fast():
-    env = Environment()
-    caught = []
-
-    def waiter(env):
-        bad = env.event()
-        slow = env.timeout(100)
-
-        def fail_later(env):
-            yield env.timeout(1)
-            bad.fail(ValueError("broke"))
-
-        env.process(fail_later(env))
-        try:
-            yield AllOf(env, [bad, slow])
-        except ValueError:
-            caught.append(env.now)
-
-    env.process(waiter(env))
-    env.run(until=200)
-    assert caught == [1]
-
-
-def test_nested_conditions():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        inner = AllOf(env, [env.timeout(2), env.timeout(4)])
-        outer = AnyOf(env, [inner, env.timeout(100)])
-        yield outer
-        done.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [4]
-
-
-def test_env_helpers_all_of_any_of():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        yield env.all_of([env.timeout(1), env.timeout(2)])
-        yield env.any_of([env.timeout(5), env.timeout(50)])
-        done.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [7]
-
-
-def test_condition_mixed_environments_rejected():
-    env_a = Environment()
-    env_b = Environment()
-    with pytest.raises(SimulationError):
-        AllOf(env_a, [env_a.timeout(1), env_b.timeout(1)])
 
 
 def test_interrupt_while_holding_resource():
@@ -297,9 +212,11 @@ def test_store_get_then_cancelish_pattern():
     got = []
 
     def impatient(env):
+        # Gives up after 1 s without ever yielding the get: the event is
+        # abandoned, not withdrawn.
         get_event = store.get()
-        result = yield AnyOf(env, [get_event, env.timeout(1)])
-        if get_event in result:
+        yield env.timeout(1)
+        if get_event.triggered:
             got.append(("impatient", get_event.value))
 
     def patient(env):
