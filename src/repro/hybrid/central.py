@@ -19,7 +19,8 @@ the mechanism by which (delayed) central state reaches the routers.
 Under a fault plan the site runs with the survivability layer of
 :mod:`repro.hybrid.survival` composed over it (reliable channels, the
 cancel handshake, rejoin and the hot-standby role); this module is the
-fault-free Section 2 protocol alone.
+fault-free Section 2 protocol alone.  The layer's cancel reactions
+override ``_await_auth``, ``_commit_burst`` and ``_round_replied``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ..db.locks import DeadlockError, LockMode
 from ..db.replica import ReplicaStore
 from ..db.transaction import Placement, Transaction
 from ..db.workload import LockSpacePartition
-from ..sim.engine import Environment, Event, Interrupt
+from ..sim.engine import Environment, Event
 from ..sim.network import Link, Message
 from ..sim.spans import PHASE_AUTH, PHASE_COMM
 from .base import SiteBase
@@ -62,24 +63,12 @@ __all__ = ["CentralSite"]
 
 @dataclass
 class _PendingAuth:
-    """Bookkeeping for one in-progress authentication round.
-
-    ``cancelled`` marks a round whose transaction was killed by a
-    ShipmentCancel while awaiting replies.  The round stays registered
-    so late replies can be matched: each master's locks are released
-    only *after* its reply arrives (a master grants before replying, so
-    a release sent any earlier could overtake the grant and leak the
-    locks forever).  ``requests`` keeps each master's request message
-    so it can be re-sent to a site whose crash destroyed the original
-    (rejoin).
-    """
+    """One authentication round in flight: the event its transaction
+    waits on, the number of masters asked and their replies so far."""
 
     event: Event
     expected: int
-    txn_id: int = 0
-    cancelled: bool = False
     replies: list[AuthReply] = field(default_factory=list)
-    requests: dict[int, Message] = field(default_factory=dict)
 
 
 class CentralSite(SiteBase):
@@ -269,18 +258,11 @@ class CentralSite(SiteBase):
         pending.replies.append(reply)
         if len(pending.replies) == pending.expected:
             del self._pending_auth[reply.auth_id]
-            if pending.cancelled:
-                # The transaction was killed mid-round.  Every master
-                # that granted has (by FIFO) done so before replying, so
-                # releasing on the completed round can never overtake a
-                # grant.
-                for late in pending.replies:
-                    if late.granted:
-                        self._send(late.site, ReleaseOrder(
-                            txn_id=pending.txn_id,
-                            snapshot=self.snapshot()))
-                return
-            pending.event.succeed(pending.replies)
+            self._round_replied(reply.auth_id, pending)
+
+    def _round_replied(self, auth_id: int, pending: _PendingAuth) -> None:
+        """Every master has replied: wake the waiting transaction."""
+        pending.event.succeed(pending.replies)
 
     # -- central transaction execution ----------------------------------------------
 
@@ -315,35 +297,19 @@ class CentralSite(SiteBase):
         Returns True when the transaction committed; False to re-execute
         (negative acknowledgement or late invalidation).
         """
-        config = self.config
-        yield from self.cpu_burst(config.instr_auth_central, txn)
+        yield from self.cpu_burst(self.config.instr_auth_central, txn)
         masters = self._masters_of(txn)
         if masters:
             auth_id = next(self._auth_ids)
             done = Event(self.env)
-            pending = _PendingAuth(
-                event=done, expected=len(masters), txn_id=txn.txn_id)
-            self._pending_auth[auth_id] = pending
+            self._pending_auth[auth_id] = _PendingAuth(
+                event=done, expected=len(masters))
             for site, references in masters.items():
-                request = AuthRequest(
+                self._send(site, AuthRequest(
                     auth_id=auth_id, txn_id=txn.txn_id,
                     references=tuple(references),
-                    snapshot=self.snapshot(), deadline=txn.deadline)
-                pending.requests[site] = self._send(site, request)
-            # Both message legs plus the master-site checks count as the
-            # authentication phase of this transaction's timeline.
-            txn.spans.enter(PHASE_AUTH, self.env.now)
-            try:
-                replies = yield done
-            except Interrupt:
-                # Cancelled mid-round.  The round stays registered,
-                # poisoned, so master grants already in flight are
-                # released once every reply has arrived (releasing
-                # earlier could overtake a not-yet-processed grant).
-                pending.cancelled = True
-                txn.spans.exit(self.env.now)
-                raise
-            txn.spans.exit(self.env.now)
+                    snapshot=self.snapshot(), deadline=txn.deadline))
+            replies = yield from self._await_auth(txn, done)
             self.metrics.record_auth_round(
                 all(reply.granted for reply in replies))
             if not all(reply.granted for reply in replies):
@@ -362,13 +328,7 @@ class CentralSite(SiteBase):
             self._release_masters(txn, masters)
             self._abort_invalidated(txn)
             return False
-        try:
-            yield from self.cpu_burst(config.instr_commit, txn)
-        except Interrupt:
-            # Cancelled before the commit message: undo the granted
-            # authentications, then let _interrupted clean up the rest.
-            self._release_masters(txn, masters)
-            raise
+        yield from self._commit_burst(txn, masters)
         if txn.marked_for_abort:
             # Invalidated during commit processing, before the commit
             # message is sent -- still safe to re-execute.
@@ -376,6 +336,19 @@ class CentralSite(SiteBase):
             self._abort_invalidated(txn)
             return False
         return (yield from self._commit_and_respond(txn, masters))
+
+    def _await_auth(self, txn: Transaction, event: Event):
+        """Wait for ``event``: both message legs plus the master-site
+        checks (or the epoch boundary) are the authentication phase."""
+        txn.spans.enter(PHASE_AUTH, self.env.now)
+        result = yield event
+        txn.spans.exit(self.env.now)
+        return result
+
+    def _commit_burst(self, txn: Transaction, masters: dict[int, list]):
+        # Returns the generator itself: no extra ``yield from`` level.
+        # The layer releases ``masters`` when a cancel interrupts it.
+        return self.cpu_burst(self.config.instr_commit, txn)
 
     def _commit_and_respond(self, txn: Transaction,
                             masters: dict[int, list],

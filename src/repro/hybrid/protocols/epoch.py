@@ -35,8 +35,8 @@ from ..central import CentralSite
 from ..local import LocalSite
 from ..protocol import EpochCommitOrder, UpdatePropagation
 from ...db.transaction import Transaction
-from ...sim.engine import Event, Interrupt
-from ...sim.spans import PHASE_AUTH, PHASE_COMM
+from ...sim.engine import Event
+from ...sim.spans import PHASE_COMM
 
 __all__ = ["EpochLocalSite", "EpochCentralSite"]
 
@@ -189,19 +189,8 @@ class EpochCentralSite(CentralSite):
         config = self.config
         yield from self.cpu_burst(config.instr_auth_central, txn)
         wakeup = Event(self.env)
-        entry = (txn.txn_id, wakeup)
-        self._epoch_commits.append(entry)
-        txn.spans.enter(PHASE_AUTH, self.env.now)
-        try:
-            yield wakeup
-        except Interrupt:
-            # Cancelled mid-epoch: deregister so the boundary does not
-            # wake a dead transaction's event.
-            self._epoch_commits = [e for e in self._epoch_commits
-                                   if e is not entry]
-            txn.spans.exit(self.env.now)
-            raise
-        txn.spans.exit(self.env.now)
+        self._epoch_commits.append((txn.txn_id, wakeup))
+        yield from self._await_auth(txn, wakeup)
         if txn.marked_for_abort:
             # Lost to this epoch's site batches -- deterministically.
             self._abort_invalidated(txn)
@@ -214,6 +203,12 @@ class EpochCentralSite(CentralSite):
         return (yield from self._commit_and_respond(
             txn, self._masters_of(txn), order=EpochCommitOrder,
             skip_empty=True))
+
+    def _interrupted(self, txn: Transaction) -> None:
+        # Cancelled mid-epoch: the boundary must not wake a dead event.
+        self._epoch_commits = [entry for entry in self._epoch_commits
+                               if entry[0] != txn.txn_id]
+        super()._interrupted(txn)
 
     def _on_deposed(self, notice) -> None:
         super()._on_deposed(notice)

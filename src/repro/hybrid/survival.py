@@ -11,11 +11,12 @@ The local layer adds reliable channels, the shipment watchdog and
 cancel handshake, suspicion and fallback routing, deadlines and the
 :class:`CircuitBreaker`, failover re-pointing and fencing, and crash
 and rejoin.  The central layer adds site channels, the cancel
-handshake's central side, ``(site, seq)`` batch dedup, the rejoin
-snapshot and the whole hot-standby role.  A protocol's own fault hooks
-(2PC's ``_on_failover``, ``on_crash`` and ``_on_deposed``, the epoch
-protocol's ``on_crash`` and ``_on_deposed``) stay in its module and
-reach the layer through ``super()``.
+handshake's central side (releasing a cancelled authentication round),
+``(site, seq)`` batch dedup, the rejoin snapshot and the hot-standby
+role.  A protocol's own fault hooks (2PC's ``_on_failover``,
+``on_crash`` and ``_on_deposed``, the epoch protocol's ``on_crash``,
+``_interrupted`` and ``_on_deposed``) stay in its module and reach the
+layer through ``super()``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .central import CentralSite
 from .local import LocalSite
 from .protocol import (
     AuthReply,
+    AuthRequest,
     CancelAck,
     CentralSnapshot,
     FailoverNotice,
@@ -42,6 +44,7 @@ from .protocol import (
     LogRecord,
     RejoinRequest,
     RejoinSnapshot,
+    ReleaseOrder,
     RemoteLockReply,
     ShipmentCancel,
     TakeoverNotice,
@@ -604,6 +607,12 @@ class SurvivableCentralSite(CentralSite):
         #: Applied ``(site, seq)`` update batches: dedup across log
         #: replay and direct re-sends after failover or rejoin.
         self._applied_batches: set[tuple[int, int]] = set()
+        #: auth_id -> site -> the request message of every round in
+        #: flight, re-sent to a site whose crash destroyed it (rejoin).
+        self._round_requests: dict[int, dict[int, Message]] = {}
+        #: auth_id -> txn_id of the rounds whose transaction was
+        #: cancelled while awaiting replies (see ``_await_auth``).
+        self._cancelled_rounds: dict[int, int] = {}
         #: This end of the primary<->standby log channel and both
         #: directions of the pair (severed together by a central outage).
         self.log_endpoint: ReliableEndpoint | None = None
@@ -641,12 +650,55 @@ class SurvivableCentralSite(CentralSite):
         return True
         yield  # pragma: no cover - unreachable; makes this a generator
 
+    # -- the authentication round ------------------------------------------------
+
+    def _send(self, site: int, payload) -> Message:
+        message = super()._send(site, payload)
+        if type(payload) is AuthRequest:
+            self._round_requests.setdefault(
+                payload.auth_id, {})[site] = message
+        return message
+
     def _collect_auth_reply(self, reply: AuthReply) -> None:
         # Cancelled rounds are deregistered once fully replied, and a
         # deposed central drops its rounds: anything later is a
         # harmless straggler.
         if reply.auth_id in self._pending_auth:
             super()._collect_auth_reply(reply)
+
+    def _await_auth(self, txn: Transaction, event: Event):
+        try:
+            return (yield from super()._await_auth(txn, event))
+        except Interrupt:
+            # Cancelled mid-round: the round stays registered until every
+            # reply is in, as a master grants before replying and an
+            # earlier release could overtake the grant and leak it.
+            txn.spans.exit(self.env.now)
+            self._cancelled_rounds.update(
+                (auth_id, txn.txn_id) for auth_id, pending
+                in self._pending_auth.items() if pending.event is event)
+            raise
+
+    def _round_replied(self, auth_id: int, pending) -> None:
+        del self._round_requests[auth_id]
+        txn_id = self._cancelled_rounds.pop(auth_id, None)
+        if txn_id is None:
+            return super()._round_replied(auth_id, pending)
+        # Every master that granted has (by FIFO) done so before
+        # replying, so this release can never overtake a grant.
+        for reply in pending.replies:
+            if reply.granted:
+                self._send(reply.site, ReleaseOrder(
+                    txn_id=txn_id, snapshot=self.snapshot()))
+
+    def _commit_burst(self, txn: Transaction, masters: dict[int, list]):
+        try:
+            yield from super()._commit_burst(txn, masters)
+        except Interrupt:
+            # Cancelled before the commit message: undo the granted
+            # authentications, then let _interrupted clean up the rest.
+            self._release_masters(txn, masters)
+            raise
 
     # -- the cancel handshake ------------------------------------------------------
 
@@ -675,7 +727,7 @@ class SurvivableCentralSite(CentralSite):
         """ShipmentCancel (or deposition) stopped this transaction:
         release everything held here and stop without completing.
         Master locks of an authentication round in flight are released
-        as its replies arrive (see ``_collect_auth_reply``)."""
+        once its last reply arrives (see ``_round_replied``)."""
         self._release(txn)
         self.metrics.record_cancelled(txn)
 
@@ -725,11 +777,11 @@ class SurvivableCentralSite(CentralSite):
         # (which may be answering it now): re-sending it would grant the
         # round twice and leak the second grant.
         incarnation = self.channels[site].incarnation
-        for pending in self._pending_auth.values():
-            sent = pending.requests.get(site)
+        for auth_id, pending in self._pending_auth.items():
+            sent = self._round_requests[auth_id].get(site)
             if sent is not None and sent.rel_inc != incarnation and \
                     all(reply.site != site for reply in pending.replies):
-                pending.requests[site] = self._send(site, sent.payload)
+                self._send(site, sent.payload)
         # Remote locks held by distributed transactions of the dead site
         # would otherwise block other sites' work forever.
         for txn_id, home in list(self._remote_holders.items()):
@@ -810,6 +862,8 @@ class SurvivableCentralSite(CentralSite):
             channel.abandon()
         self.log_endpoint.abandon()
         self._pending_auth.clear()
+        self._round_requests.clear()
+        self._cancelled_rounds.clear()
 
     # -- the standby role -------------------------------------------------------
 

@@ -76,7 +76,8 @@ class Scenario:
 #: so a protocol regression cannot hide in an exercised-but-unasserted
 #: path.  The five fault scenarios together fire every trace kind and
 #: every metrics-collector counter family except ``shed``: the rejoin
-#: queue does not overflow at these loads.
+#: queue does not overflow at these loads, so tests/test_survival_layer.py's
+#: ``test_admission_limit_bounds_the_rejoin_queue`` covers ``shed``.
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(name="baseline-none",
              strategy="none", total_rate=12.0,
